@@ -216,6 +216,8 @@ def main(argv=None) -> int:
         return _fail(EX_MODEL, "model does not bind atom %s" % exc)
     except InternalInvariantError as exc:
         return _fail(EX_INTERNAL, "internal invariant violation: %s" % exc)
+    except Exception as exc:
+        return _fail(EX_INTERNAL, "internal error: %s: %s" % (type(exc).__name__, exc))
 
 
 if __name__ == "__main__":

@@ -6,6 +6,12 @@ equality and hashing are structural.  Binary relations on U are dense boolean
 matrices over element indices.  The closed sets of the closure space U x U are
 the equivalence relations; the open sets are the partition relations (dit
 sets); interior = complement of closure of complement.
+
+One kernel, ``graph_op``, computes every binary operation (the four named
+primitives are four of its tables) straight from the restricted growth
+strings, with the module's single union-find ``_components``.  The relation
+route (dit, interior, closure, from_equivalence) is the reference that the
+identity suite and the tests check it against; production calls never run it.
 """
 
 from __future__ import annotations
@@ -205,11 +211,8 @@ class PairRelation:
         return PairRelation(self.universe, ~self.matrix)
 
 
-@lru_cache(maxsize=1 << 16)
-def closure(r: PairRelation) -> PairRelation:
-    """Reflexive, symmetric, transitive closure: the smallest equivalence containing r."""
-    n = r.universe.size
-    sym = r.matrix | r.matrix.T
+def _components(n: int, edges: Iterable[tuple[int, int]]) -> tuple[int, ...]:
+    """Connected components of an undirected graph on range(n), as a canonical RGS."""
     parent = list(range(n))
 
     def find(x):
@@ -218,13 +221,19 @@ def closure(r: PairRelation) -> PairRelation:
             x = parent[x]
         return x
 
-    for i, j in zip(*np.nonzero(sym)):
-        ri, rj = find(int(i)), find(int(j))
+    for i, j in edges:
+        ri, rj = find(i), find(j)
         if ri != rj:
             parent[rj] = ri
-    roots = np.array([find(i) for i in range(n)])
-    m = roots[:, None] == roots[None, :]
-    return PairRelation(r.universe, m, RelationKind.EQUIVALENCE)
+    return _canonical_rgs([find(k) for k in range(n)])
+
+
+@lru_cache(maxsize=1 << 16)
+def closure(r: PairRelation) -> PairRelation:
+    """Reflexive, symmetric, transitive closure: the smallest equivalence containing r."""
+    rows, cols = np.nonzero(r.matrix)
+    rgs = _components(r.universe.size, zip(rows.tolist(), cols.tolist()))
+    return indit(Partition(r.universe, rgs))
 
 
 def interior(r: PairRelation) -> PairRelation:
@@ -359,127 +368,8 @@ def from_equivalence(r: PairRelation) -> Partition:
     return Partition(r.universe, _canonical_rgs(labels))
 
 
-def partition_from_relation_matrix(universe: Universe, eq_matrix: np.ndarray) -> Partition:
-    labels = [int(np.argmax(eq_matrix[i])) for i in range(universe.size)]
-    return Partition(universe, _canonical_rgs(labels))
-
-
-@lru_cache(maxsize=1 << 16)
-def refines(s: Partition, p: Partition) -> bool:
-    """True iff s is refined by p (s <= p), i.e. dit(s) is a subset of dit(p).
-
-    Computed both by dit-set inclusion and by blockwise containment; the two
-    routes must agree.
-    """
-    _check_same_universe(s, p)
-    by_dits = dit(s).is_subset_of(dit(p))
-    by_blocks = all(
-        len({s.block_of(el) for el in block}) == 1
-        for block in p.blocks
-    )
-    if by_dits != by_blocks:
-        raise InternalInvariantError("refinement routes disagree on %r vs %r" % (s, p))
-    return by_dits
-
-
 # ---------------------------------------------------------------------------
-# The four primitive operations (each with an independent second route)
-# ---------------------------------------------------------------------------
-
-@lru_cache(maxsize=1 << 16)
-def join(s: Partition, p: Partition) -> Partition:
-    """Join: blocks are the non-empty intersections of blocks of s and p."""
-    _check_same_universe(s, p)
-    return Partition(s.universe, _canonical_rgs(
-        [a * (max(p.rgs) + 1) + b for a, b in zip(s.rgs, p.rgs)]))
-
-
-def _components_partition(universe: Universe, arcs: np.ndarray) -> Partition:
-    """Partition whose blocks are the connected components of the arc graph."""
-    n = universe.size
-    parent = list(range(n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for i, j in zip(*np.nonzero(arcs)):
-        ri, rj = find(int(i)), find(int(j))
-        if ri != rj:
-            parent[rj] = ri
-    return Partition(universe, _canonical_rgs([find(i) for i in range(n)]))
-
-
-@lru_cache(maxsize=1 << 16)
-def meet(s: Partition, p: Partition) -> Partition:
-    """Meet: dit(s^p) = int(dit(s) & dit(p)); fast path is the arc-graph method."""
-    _check_same_universe(s, p)
-    fast = _components_partition(s.universe, indit(s).matrix | indit(p).matrix)
-    oracle = partition_from_relation_matrix(
-        s.universe, ~interior(dit(s).intersection(dit(p))).matrix)
-    if fast != oracle:
-        raise InternalInvariantError("meet routes disagree on %r, %r" % (s, p))
-    return fast
-
-
-@lru_cache(maxsize=1 << 16)
-def implies(s: Partition, p: Partition) -> Partition:
-    """Implication s => p: dit = int(dit(s)^c | dit(p)); s is the antecedent.
-
-    Equivalently: p with every block that sits inside a single s-block
-    discretized (replaced by its singletons).
-    """
-    _check_same_universe(s, p)
-    by_dits = partition_from_relation_matrix(
-        s.universe, ~interior(dit(s).complement().union(dit(p))).matrix)
-    n = s.universe.size
-    labels = list(p.rgs)
-    fresh = n  # singleton labels, disjoint from block indices
-    for block in p.blocks:
-        if len({s.block_of(el) for el in block}) == 1:
-            for el in block:
-                labels[s.universe.index(el)] = fresh
-                fresh += 1
-    by_blocks = Partition(s.universe, _canonical_rgs(labels))
-    if by_dits != by_blocks:
-        raise InternalInvariantError("implication routes disagree on %r, %r" % (s, p))
-    return by_dits
-
-
-@lru_cache(maxsize=1 << 16)
-def nand(s: Partition, t: Partition) -> Partition:
-    """Nand s | t: dit = int(indit(s) | indit(t)); arcs are common distinctions."""
-    _check_same_universe(s, t)
-    fast = _components_partition(s.universe, dit(s).matrix & dit(t).matrix)
-    oracle = partition_from_relation_matrix(
-        s.universe, ~interior(indit(s).union(indit(t))).matrix)
-    if fast != oracle:
-        raise InternalInvariantError("nand routes disagree on %r, %r" % (s, t))
-    return fast
-
-
-def neg(s: Partition) -> Partition:
-    """Negation: s => 0.  Equals 1 when s = 0 and 0 otherwise."""
-    return implies(s, bottom(s.universe))
-
-
-def pi_neg(s: Partition, p: Partition) -> Partition:
-    """pi-negation of s relative to p: just s => p."""
-    return implies(s, p)
-
-
-@lru_cache(maxsize=1 << 16)
-def pi_nand(s: Partition, t: Partition, p: Partition) -> Partition:
-    """Ternary pi-nand: dit = int(indit(s) | indit(t) | dit(p))."""
-    _check_same_universe(s, t, p)
-    rel = interior(indit(s).union(indit(t)).union(dit(p)))
-    return partition_from_relation_matrix(s.universe, ~rel.matrix)
-
-
-# ---------------------------------------------------------------------------
-# Boolean-condition tables and the uniform graph-theoretic operation
+# Boolean-condition tables and the one partition-operation kernel
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -517,7 +407,6 @@ TABLE_IMPLIES = BoolOpTable(True, False, True, True)
 TABLE_NAND = BoolOpTable(False, True, True, True)
 
 
-@lru_cache(maxsize=1 << 16)
 def graph_op(table: BoolOpTable, s: Partition, t: Partition) -> Partition:
     """Any of the 16 logical operations, via falsifying arcs.
 
@@ -526,15 +415,64 @@ def graph_op(table: BoolOpTable, s: Partition, t: Partition) -> Partition:
     components of that graph.
     """
     _check_same_universe(s, t)
-    sd = dit(s).matrix
-    td = dit(t).matrix
-    arcs = np.zeros_like(sd)
-    for s_bit in (False, True):
-        for t_bit in (False, True):
-            if not table.output(s_bit, t_bit):
-                arcs |= (sd == s_bit) & (td == t_bit)
-    np.fill_diagonal(arcs, False)
-    return _components_partition(s.universe, arcs)
+    a, b = s.rgs, t.rgs
+    n = len(a)
+    out = table.output
+    arcs = [(i, j) for i in range(n) for j in range(i + 1, n)
+            if not out(a[i] != a[j], b[i] != b[j])]
+    return Partition(s.universe, _components(n, arcs))
+
+
+@lru_cache(maxsize=1 << 16)
+def join(s: Partition, p: Partition) -> Partition:
+    """Join: blocks are the non-empty intersections of blocks of s and p."""
+    return graph_op(TABLE_OR, s, p)
+
+
+@lru_cache(maxsize=1 << 16)
+def meet(s: Partition, p: Partition) -> Partition:
+    """Meet: dit(s^p) = int(dit(s) & dit(p)); arcs join pairs indistinct in s or p."""
+    return graph_op(TABLE_AND, s, p)
+
+
+@lru_cache(maxsize=1 << 16)
+def implies(s: Partition, p: Partition) -> Partition:
+    """Implication s => p: dit = int(dit(s)^c | dit(p)); s is the antecedent.
+
+    Equivalently: p with every block that sits inside a single s-block
+    discretized (replaced by its singletons).
+    """
+    return graph_op(TABLE_IMPLIES, s, p)
+
+
+@lru_cache(maxsize=1 << 16)
+def nand(s: Partition, t: Partition) -> Partition:
+    """Nand s | t: dit = int(indit(s) | indit(t)); arcs are common distinctions."""
+    return graph_op(TABLE_NAND, s, t)
+
+
+@lru_cache(maxsize=1 << 16)
+def refines(s: Partition, p: Partition) -> bool:
+    """True iff s is refined by p (s <= p), i.e. dit(s) is a subset of dit(p)."""
+    return join(s, p) == p
+
+
+def neg(s: Partition) -> Partition:
+    """Negation: s => 0.  Equals 1 when s = 0 and 0 otherwise."""
+    return implies(s, bottom(s.universe))
+
+
+def pi_neg(s: Partition, p: Partition) -> Partition:
+    """pi-negation of s relative to p: just s => p."""
+    return implies(s, p)
+
+
+@lru_cache(maxsize=1 << 16)
+def pi_nand(s: Partition, t: Partition, p: Partition) -> Partition:
+    """Ternary pi-nand: dit = int(indit(s) | indit(t) | dit(p))."""
+    _check_same_universe(s, t, p)
+    rel = indit(s).union(indit(t)).union(dit(p))
+    return from_equivalence(closure(rel.complement()))
 
 
 # ---------------------------------------------------------------------------

@@ -17,10 +17,10 @@ import numpy as np
 
 from . import core
 from .core import (
-    PairRelation, bottom, chain_bounded_closure, closure, dit, eq_diff,
-    eq_join, eq_meet, eq_nor, graph_op, implies, indit, interior, join,
-    make_partition, meet, modular_atom, nand, neg, pi_nand, pi_neg, refines,
-    top,
+    BoolOpTable, PairRelation, bottom, chain_bounded_closure, closure, dit,
+    eq_diff, eq_join, eq_meet, eq_nor, from_equivalence, graph_op, implies,
+    indit, interior, join, make_partition, meet, modular_atom, nand, neg,
+    pi_nand, pi_neg, refines, top,
 )
 from .corpus import formula_corpus, non_tautology_corpus, tautology_corpus
 from .formula import (
@@ -152,9 +152,9 @@ def _implication_routes(ctx):
     checks = 0
     for n in ctx.sizes(hi=4):
         for s, p in _all_pairs(n):
-            by_dits = core.partition_from_relation_matrix(
-                s.universe, ~interior(dit(s).complement().union(dit(p))).matrix)
-            assert implies(s, p) == by_dits  # implies() also self-checks
+            by_dits = from_equivalence(
+                closure(dit(s).complement().union(dit(p)).complement()))
+            assert implies(s, p) == by_dits
             checks += 1
     return checks
 
@@ -242,15 +242,28 @@ def _modular_atoms(ctx):
     return checks
 
 
-@_entry("core/graph-op-matches-primitives")
-def _graph_op_primitives(ctx):
-    named = [(core.TABLE_OR, join), (core.TABLE_AND, meet),
-             (core.TABLE_IMPLIES, implies), (core.TABLE_NAND, nand)]
+def _table_relation(table, s, t) -> PairRelation:
+    """Pairs at which the table outputs T on their statuses in s and t."""
+    rel = PairRelation.empty(s.universe)
+    for s_bit, s_rel in ((True, dit(s)), (False, indit(s))):
+        for t_bit, t_rel in ((True, dit(t)), (False, indit(t))):
+            if table.output(s_bit, t_bit):
+                rel = rel.union(s_rel.intersection(t_rel))
+    return rel
+
+
+@_entry("core/graph-op-two-routes")
+def _graph_op_routes(ctx):
+    """graph_op against the interior route: dit(result) = int(R), so the
+    result's blocks are the classes of closure(R^c)."""
+    tables = [BoolOpTable.from_value(v) for v in range(16)]
     checks = 0
     for n in ctx.sizes(hi=4):
         for s, t in _all_pairs(n):
-            for table, op in named:
-                assert graph_op(table, s, t) == op(s, t)
+            for table in tables:
+                by_dits = from_equivalence(
+                    closure(_table_relation(table, s, t).complement()))
+                assert graph_op(table, s, t) == by_dits, table
                 checks += 1
     return checks
 

@@ -22,7 +22,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from itertools import permutations
 
-from .core import InternalInvariantError, PartitionLogicError
+from .core import (
+    InternalInvariantError, Partition, PartitionLogicError, _components,
+)
 from .formula import (
     Atom, Formula, Impl, Join, Meet, Nand, One, Zero, atoms_of, desugar,
     subformulas, to_text,
@@ -91,6 +93,8 @@ class ProverConfig:
     def __post_init__(self):
         if self.max_elements < 2:
             raise ValueError("max_elements must be at least 2")
+        if self.max_steps < 1:
+            raise ValueError("max_steps must be at least 1")
 
 
 @dataclass
@@ -295,7 +299,7 @@ class _Prover:
             if s.sign == F:
                 by_formula.setdefault(s.formula, []).append(s)
         for f, stmts in by_formula.items():
-            comp = _union_find(br.n_elements, [(s.i, s.j) for s in stmts])
+            comp = _components(br.n_elements, [(s.i, s.j) for s in stmts])
             groups: dict[int, list[int]] = {}
             for k in range(br.n_elements):
                 groups.setdefault(comp[k], []).append(k)
@@ -339,7 +343,7 @@ class _Prover:
             return list(range(br.n_elements))  # F1 holds nowhere
         edges = [(s.i, s.j) for s in br.statements
                  if s.sign == F and s.formula == pi]
-        return _union_find(br.n_elements, edges)
+        return _components(br.n_elements, edges)
 
     # -- scheduling ---------------------------------------------------------
 
@@ -558,22 +562,6 @@ def statement_witnessed(br: Branch, s: SignedStatement) -> bool:
     return False
 
 
-def _union_find(n: int, edges) -> list[int]:
-    parent = list(range(n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for i, j in edges:
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[rj] = ri
-    return [find(k) for k in range(n)]
-
-
 def _upper_pairs(members):
     xs, ys = [], []
     for a in range(len(members)):
@@ -667,7 +655,7 @@ def branch_is_complete(br: Branch) -> bool:
         if s.sign == F:
             by_formula.setdefault(s.formula, []).append(s)
     for f, stmts in by_formula.items():
-        comp = _union_find(br.n_elements, [(s.i, s.j) for s in stmts])
+        comp = _components(br.n_elements, [(s.i, s.j) for s in stmts])
         for a in range(br.n_elements):
             for b in range(a + 1, br.n_elements):
                 if comp[a] == comp[b] and not br.holds(a, b, F, f):
@@ -691,9 +679,7 @@ def extract_model(br: Branch) -> Assignment:
     for name in sorted(atoms_of(br.root)):
         edges = [(s.i, s.j) for s in br.statements
                  if s.sign == F and s.formula == Atom(name)]
-        comp = _union_find(br.n_elements, edges)
-        from .core import Partition, _canonical_rgs
-        bindings[name] = Partition(universe, _canonical_rgs(comp))
+        bindings[name] = Partition(universe, _components(br.n_elements, edges))
     return Assignment(universe, bindings)
 
 

@@ -128,6 +128,13 @@ class TestProve:
         assert code == 2
         assert json.loads(out)["reason"] == "max_elements"
 
+    @pytest.mark.parametrize("steps", ["0", "-1"])
+    def test_non_positive_max_steps_exits_64(self, capture, steps):
+        code, out, err = capture("prove", "s", "--max-steps", steps)
+        assert code == 64
+        assert out == ""
+        assert "max_steps" in err
+
 
 class TestDualTransform:
     def test_dual_text(self, capture):
@@ -201,6 +208,19 @@ class TestInternalInvariantExitCode:
         code, _, err = capture("eval", "s", "--model", model_file)
         assert code == 70
         assert "internal invariant" in err
+
+
+class TestUnexpectedErrorExitCode:
+    def test_exit_70(self, capture, model_file, monkeypatch):
+        import partlog.cli as cli
+
+        def boom(*a, **k):
+            raise RuntimeError("unexpected")
+
+        monkeypatch.setattr(cli, "eval_formula", boom)
+        code, _, err = capture("eval", "s", "--model", model_file)
+        assert code == 70
+        assert "RuntimeError: unexpected" in err
 
 
 class TestDeterminism:

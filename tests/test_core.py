@@ -1,5 +1,7 @@
 """Partition algebra: canonical forms, the closure space, and the worked examples."""
 
+import random
+
 import numpy as np
 import pytest
 from fractions import Fraction
@@ -45,6 +47,16 @@ def slow_closure_matrix(universe, pairs):
         if not np.array_equal(new, m):
             m, changed = new, True
     return m
+
+
+def interior_route(table, s, t):
+    """Result of a table operation by the paper's definition: dit = int(R),
+    where R holds the pairs the table sends to T, so the blocks are the
+    classes of closure(R^c)."""
+    status = np.array([[table.ff, table.ft], [table.tf, table.tt]])
+    sd, td = dit(s).matrix, dit(t).matrix
+    r = PairRelation(s.universe, status[sd.astype(int), td.astype(int)])
+    return from_equivalence(closure(r.complement()))
 
 
 def bell_oracle(n):
@@ -300,14 +312,22 @@ class TestGraphOp:
 
     def test_all_tables_all_pairs_small(self):
         u = Universe.of("a", "b", "c")
-        named = {TABLE_AND.value: meet, TABLE_OR.value: join,
-                 TABLE_IMPLIES.value: implies, TABLE_NAND.value: nand}
         parts = list(enumerate_partitions(u))
-        for v, op in named.items():
+        for v in range(16):
             table = BoolOpTable.from_value(v)
             for s in parts:
                 for t in parts:
-                    assert graph_op(table, s, t) == op(s, t)
+                    assert graph_op(table, s, t) == interior_route(table, s, t), v
+
+    def test_all_tables_sampled_pairs_larger(self):
+        rng = random.Random(11)
+        for n in range(5, 9):
+            parts = list(enumerate_partitions(Universe(tuple("abcdefgh"[:n]))))
+            for _ in range(25):
+                s, t = rng.choice(parts), rng.choice(parts)
+                for v in range(16):
+                    table = BoolOpTable.from_value(v)
+                    assert graph_op(table, s, t) == interior_route(table, s, t), v
 
 
 class TestNegations:
