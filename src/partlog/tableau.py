@@ -15,12 +15,23 @@ countermodel by reading each atom's blocks off the connected components of its
 atomic F-statements.  Branches can grow forever (the Devil's tableau), so the
 prover runs under element and step budgets and returns Unknown when they are
 exhausted.
+
+One agenda says what is owed.  ``_agenda(br)`` yields every rule application
+still owed on a branch, in the order the prover takes them: the one-shot
+T-rules (T-or, T-impl, T-nand, all read from ``_T_RULES``), anti-transitivity
+splits, unwitnessed falsifying chains, and last the saturation rules (F-or,
+T-and and F-transitivity gaps).  The prover saturates a branch and then takes
+the agenda's first entry; ``Branch.pending()`` lists every entry, and a
+branch is complete exactly when nothing is pending.  Depth-first search keeps
+its open splits on an explicit stack, so the depth of a tableau is not bounded
+by Python's recursion limit.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
-from itertools import permutations
+from itertools import combinations, permutations
 
 from .core import (
     InternalInvariantError, Partition, PartitionLogicError, _components,
@@ -148,34 +159,10 @@ class Branch:
                       dict(self.statements), set(self.processed), self.closed)
 
     def pending(self) -> list[tuple[str, SignedStatement]]:
-        """The worklist: rule applications still owed at the current stage."""
-        out = []
-        for s in self.statements:
-            f = s.formula
-            if s.sign == F and isinstance(f, Join):
-                if not (self.holds(s.i, s.j, F, f.left)
-                        and self.holds(s.i, s.j, F, f.right)):
-                    out.append(("F-or", s))
-            elif s.sign == T and isinstance(f, Meet):
-                if not (self.holds(s.i, s.j, T, f.left)
-                        and self.holds(s.i, s.j, T, f.right)):
-                    out.append(("T-and", s))
-            elif s.sign == T and isinstance(f, (Join, Impl, Nand)):
-                conds = {Join: [(T, f.left), (T, f.right)],
-                         Impl: [(F, f.left), (T, f.right)],
-                         Nand: [(F, f.left), (F, f.right)]}[type(f)]
-                if not any(self.holds(s.i, s.j, sg, g) for sg, g in conds):
-                    out.append(("T-%s" % type(f).__name__.lower(), s))
-            if s.sign == T:
-                for k in range(self.n_elements):
-                    if k not in (s.i, s.j) and not (
-                            self.holds(s.i, k, T, f) or self.holds(k, s.j, T, f)):
-                        out.append(("T-anti-transitivity", s))
-                        break
-            if s.sign == F and isinstance(f, _ELEMENT_INTRODUCING):
-                if not statement_witnessed(self, s):
-                    out.append(("falsifying-chain", s))
-        return out
+        """The worklist: rule applications still owed at the current stage.
+
+        For F-transitivity the statement is the missing conclusion."""
+        return [(rule, s) for rule, s, _ in _agenda(self) if rule != "check"]
 
 
 # ---------------------------------------------------------------------------
@@ -200,6 +187,99 @@ class _StepsExceeded(Exception):
 
 
 _ELEMENT_INTRODUCING = (Impl, Meet, Nand)
+# one-shot T-rules: the rule name and the signs put on the left and right
+# operands, one alternative each
+_T_RULES = {Join: ("T-or", (T, T)), Impl: ("T-impl", (F, T)),
+            Nand: ("T-nand", (F, F))}
+_ONE_SHOT = {rule for rule, _ in _T_RULES.values()}
+# saturation rules: the statement's own sign goes on both operands
+_SATURATION_RULES = {(F, Join): "F-or", (T, Meet): "T-and"}
+
+
+def _both_operands(s: SignedStatement):
+    return [(s.i, s.j, s.sign, s.formula.left), (s.i, s.j, s.sign, s.formula.right)]
+
+
+def _agenda(br: Branch):
+    """Every rule application still owed on ``br``, in the order the prover
+    takes them, as (rule, statement, alternatives).
+
+    Each alternative is a list of (i, j, sign, formula) additions.  A
+    ``"check"`` entry is an unprocessed one-shot statement that one of its
+    alternatives already satisfies, so it only needs its mark.  Falsifying
+    chains carry ``None``: their alternatives depend on the element budget,
+    and the prover builds them (``_Prover._f_alternatives``).
+    """
+    for s in br.statements:
+        if s.sign == T and s not in br.processed and type(s.formula) in _T_RULES:
+            rule, signs = _T_RULES[type(s.formula)]
+            alts = [[(s.i, s.j, sign, g)]
+                    for sign, g in zip(signs, (s.formula.left, s.formula.right))]
+            if any(br.holds(*alt[0]) for alt in alts):
+                yield "check", s, []
+            else:
+                yield rule, s, alts
+    for s in br.statements:
+        if s.sign == T:
+            f = s.formula
+            for k in range(br.n_elements):
+                if k not in (s.i, s.j) and not (br.holds(s.i, k, T, f)
+                                                or br.holds(k, s.j, T, f)):
+                    yield ("T-anti-transitivity", s,
+                           [[(s.i, k, T, f)], [(k, s.j, T, f)]])
+                    break
+    for s in br.statements:
+        if (s.sign == F and isinstance(s.formula, _ELEMENT_INTRODUCING)
+                and not statement_witnessed(br, s)):
+            yield "falsifying-chain", s, None
+    for s in br.statements:
+        rule = _SATURATION_RULES.get((s.sign, type(s.formula)))
+        if rule is not None:
+            additions = _both_operands(s)
+            if not all(br.holds(*a) for a in additions):
+                yield rule, s, [additions]
+    for f, (_, comp) in _f_graphs(br).items():
+        for i, j in _f_gaps(br, f, comp):
+            yield "F-transitivity", stmt(i, j, F, f), [[(i, j, F, f)]]
+
+
+def _f_graphs(br: Branch):
+    """Per formula, in order of first appearance: its F-statements and the
+    components (an RGS) of the graph of pairs they connect."""
+    by_formula: dict[Formula, list[SignedStatement]] = {}
+    for s in br.statements:
+        if s.sign == F:
+            by_formula.setdefault(s.formula, []).append(s)
+    return {f: (stmts, _components(br.n_elements, [(s.i, s.j) for s in stmts]))
+            for f, stmts in by_formula.items()}
+
+
+def _f_gaps(br: Branch, f: Formula, comp):
+    """Pairs inside one component of f's F-graph that lack the F-statement,
+    component by component."""
+    blocks: dict[int, list[int]] = {}
+    for k, c in enumerate(comp):
+        blocks.setdefault(c, []).append(k)
+    for members in blocks.values():
+        for i, j in combinations(members, 2):
+            if stmt(i, j, F, f) not in br.statements:
+                yield i, j
+
+
+@dataclass
+class _Split:
+    """A branching rule application on the DFS stack: the branch it splits,
+    the alternatives not yet tried, and the one-shot statement each child
+    marks.  ``unknown`` is the reason the split cannot count as closed: the
+    last one a finished child reported, else "max_elements" when the element
+    budget cut alternatives off, else None."""
+
+    branch: Branch
+    premises: tuple[int, ...]
+    rule: str
+    alternatives: Iterator[list]
+    mark: SignedStatement | None
+    unknown: str | None
 
 
 class _Prover:
@@ -270,23 +350,13 @@ class _Prover:
         while changed and not br.closed:
             changed = False
             for s, sid in list(br.statements.items()):
-                if s in br.processed:
+                rule = _SATURATION_RULES.get((s.sign, type(s.formula)))
+                if rule is None or s in br.processed:
                     continue
-                f = s.formula
-                if s.sign == F and isinstance(f, Join):
-                    br.processed.add(s)
-                    changed |= self._apply(br, "F-or", (sid,),
-                                           [(s.i, s.j, F, f.left),
-                                            (s.i, s.j, F, f.right)])
-                elif s.sign == T and isinstance(f, Meet):
-                    br.processed.add(s)
-                    changed |= self._apply(br, "T-and", (sid,),
-                                           [(s.i, s.j, T, f.left),
-                                            (s.i, s.j, T, f.right)])
+                br.processed.add(s)
+                changed |= self._apply(br, rule, (sid,), _both_operands(s))
                 if br.closed:
                     return True
-            if br.closed:
-                return True
             changed |= self._f_transitivity(br)
         if not br.closed and self.cfg.use_branch_closing_lemma:
             self._lemma_close(br)
@@ -294,22 +364,10 @@ class _Prover:
 
     def _f_transitivity(self, br: Branch) -> bool:
         changed = False
-        by_formula: dict[Formula, list[SignedStatement]] = {}
-        for s in br.statements:
-            if s.sign == F:
-                by_formula.setdefault(s.formula, []).append(s)
-        for f, stmts in by_formula.items():
-            comp = _components(br.n_elements, [(s.i, s.j) for s in stmts])
-            groups: dict[int, list[int]] = {}
-            for k in range(br.n_elements):
-                groups.setdefault(comp[k], []).append(k)
-            premises = tuple(br.statements[s] for s in stmts)
-            additions = []
-            for members in groups.values():
-                for i, j in zip(*_upper_pairs(members)):
-                    if stmt(i, j, F, f) not in br.statements:
-                        additions.append((i, j, F, f))
+        for f, (stmts, comp) in _f_graphs(br).items():
+            additions = [(i, j, F, f) for i, j in _f_gaps(br, f, comp)]
             if additions:
+                premises = tuple(br.statements[s] for s in stmts)
                 changed |= self._apply(br, "F-transitivity", premises, additions)
                 if br.closed:
                     return True
@@ -320,130 +378,89 @@ class _Prover:
         that both carry F-pi force a link with all three, which contradicts."""
         t_stmts = [s for s in br.statements if s.sign == T]
         impls = [s for s in t_stmts if isinstance(s.formula, Impl)]
+        graphs = None
         for s2 in impls:
             tau, pi = s2.formula.left, s2.formula.right
             if not br.holds(s2.i, s2.j, F, pi):
                 continue
-            comp = self._f_components(br, pi)
             for s1 in t_stmts:
                 if s1.formula != tau or not br.holds(s1.i, s1.j, F, pi):
                     continue
-                if comp is None or comp[s1.i] == comp[s2.i]:
-                    br.closed = True
-                    self.trace.steps.append(TraceStep(
-                        "lemma-close",
-                        (br.statements[s1], br.statements[s2]), (), br.id))
-                    return
-
-    def _f_components(self, br: Branch, pi: Formula):
-        """Components of the graph of pairs where F-pi holds; None = one blob."""
-        if isinstance(pi, Zero):
-            return None                      # F0 holds everywhere
-        if isinstance(pi, One):
-            return list(range(br.n_elements))  # F1 holds nowhere
-        edges = [(s.i, s.j) for s in br.statements
-                 if s.sign == F and s.formula == pi]
-        return _components(br.n_elements, edges)
+                # F0 holds everywhere, so its graph is one component
+                if not isinstance(pi, Zero):
+                    if graphs is None:
+                        graphs = _f_graphs(br)
+                    comp = graphs[pi][1]
+                    if comp[s1.i] != comp[s2.i]:
+                        continue
+                br.closed = True
+                self.trace.steps.append(TraceStep(
+                    "lemma-close",
+                    (br.statements[s1], br.statements[s2]), (), br.id))
+                return
 
     # -- scheduling ---------------------------------------------------------
 
     def explore(self, br: Branch):
-        """Depth-first development of one branch; deterministic order."""
+        """Depth-first development from ``br`` in a deterministic order, on an
+        explicit stack of splits.
+
+        Returns ("open", branch) for the first complete open branch, else
+        ("closed", None) or ("unknown", reason)."""
+        stack: list[_Split] = []
+        reason = None
+        while True:
+            result = self._develop(br)
+            if isinstance(result, _Split):
+                stack.append(result)
+            elif result == "open":
+                return ("open", br)
+            br = None
+            while stack and br is None:
+                br = self._next_child(stack[-1])
+                if br is None:
+                    reason = stack.pop().unknown
+                    if stack and reason is not None:
+                        stack[-1].unknown = reason
+            if br is None:
+                return ("closed", None) if reason is None else ("unknown", reason)
+
+    def _develop(self, br: Branch):
+        """Saturate and take the agenda's first entry, one tick each, until
+        the branch closes ("closed"), is complete ("open") or splits."""
         while True:
             self._tick()
             if self._saturate(br):
-                return ("closed", None)
-
-            action = self._pick_oneshot(br)
-            if action == "again":
+                return "closed"
+            rule, s, alts = next(_agenda(br), (None, None, None))
+            if rule is None:
+                return "open"
+            if rule == "check":
+                br.processed.add(s)
                 continue
-            if action is not None:
-                s, rule, alts = action
-                return self._branch_out(br, (br.statements[s],), rule, alts,
-                                        mark=s)
+            truncated = False
+            if alts is None:
+                rule, alts, truncated = self._f_alternatives(br, s)
+            return _Split(br, (br.statements[s],), rule, iter(alts),
+                          s if rule in _ONE_SHOT else None,
+                          "max_elements" if truncated else None)
 
-            viol = self._pick_antitrans(br)
-            if viol is not None:
-                s, k = viol
-                alts = [[(s.i, k, T, s.formula)], [(k, s.j, T, s.formula)]]
-                return self._branch_out(br, (br.statements[s],),
-                                        "T-anti-transitivity", alts)
-
-            pending = self._pick_unwitnessed(br)
-            if pending is None:
-                return ("open", br)
-            s = pending
-            rule, alts, truncated = self._f_alternatives(br, s)
-            result = self._branch_out(br, (br.statements[s],), rule, alts)
-            if result[0] == "closed" and truncated:
-                return ("unknown", "max_elements")
-            return result
-
-    def _branch_out(self, br: Branch, premises, rule, alternatives, mark=None):
-        saw_unknown = None
-        for additions in alternatives:
-            child = self._new_branch(br)
-            if mark is not None:
-                child.processed.add(mark)
+    def _next_child(self, split: _Split) -> Branch | None:
+        """The branch of the next alternative of ``split`` that does not
+        close at once, or None when the alternatives run out."""
+        for additions in split.alternatives:
+            child = self._new_branch(split.branch)
+            if split.mark is not None:
+                child.processed.add(split.mark)
             fresh = {k for (i, j, _, _) in additions for k in (i, j)
                      if k >= child.n_elements}
             child.n_elements += len(fresh)
-            self._apply(child, rule, premises, additions)
-            if child.closed:
-                continue
-            status, payload = self.explore(child)
-            if status == "open":
-                return (status, payload)
-            if status == "unknown":
-                saw_unknown = payload
-        if saw_unknown is not None:
-            return ("unknown", saw_unknown)
-        return ("closed", None)
-
-    def _pick_oneshot(self, br: Branch):
-        """First unprocessed T-or / T-impl / T-nand statement.
-
-        If one alternative is already present the rule is satisfied: mark it
-        and rescan ("again")."""
-        for s in br.statements:
-            if s.sign != T or s in br.processed:
-                continue
-            f = s.formula
-            if isinstance(f, Join):
-                rule, conds = "T-or", [(T, f.left), (T, f.right)]
-            elif isinstance(f, Impl):
-                rule, conds = "T-impl", [(F, f.left), (T, f.right)]
-            elif isinstance(f, Nand):
-                rule, conds = "T-nand", [(F, f.left), (F, f.right)]
-            else:
-                continue
-            if any(br.holds(s.i, s.j, sign, g) for sign, g in conds):
-                br.processed.add(s)
-                return "again"
-            return (s, rule, [[(s.i, s.j, sign, g)] for sign, g in conds])
-        return None
-
-    def _pick_antitrans(self, br: Branch):
-        """First (T-statement, element) whose anti-transitivity split is open."""
-        for s in br.statements:
-            if s.sign != T:
-                continue
-            for k in range(br.n_elements):
-                if k in (s.i, s.j):
-                    continue
-                if not (br.holds(s.i, k, T, s.formula)
-                        or br.holds(k, s.j, T, s.formula)):
-                    return (s, k)
+            self._apply(child, split.rule, split.premises, additions)
+            if not child.closed:
+                return child
         return None
 
     # -- element-introducing F-rules ----------------------------------------
-
-    def _pick_unwitnessed(self, br: Branch):
-        for s in br.statements:
-            if s.sign == F and isinstance(s.formula, _ELEMENT_INTRODUCING):
-                if not statement_witnessed(br, s):
-                    return s
-        return None
 
     def _f_alternatives(self, br: Branch, s: SignedStatement):
         """Disjunctive alternatives for an unwitnessed F-statement.
@@ -496,16 +513,13 @@ class _Prover:
         for mids in _all_orderings(others, limit=3):
             alts.append(self._chain_additions(s, mids, conds=conds))
         for count in range(1, 4):
-            slots = count
-            for existing_count in range(0, 4 - slots):
-                total = slots + existing_count
-                if total > 3:
-                    continue
-                if slots > budget:
+            for existing_count in range(0, 4 - count):
+                if count > budget:
                     truncated = True
                     continue
+                total = count + existing_count
                 for existing in permutations(others, existing_count):
-                    for positions in _fresh_position_patterns(total, slots):
+                    for positions in combinations(range(total), count):
                         mids = _weave(existing, positions, n)
                         alts.append(self._chain_additions(s, mids, conds=conds))
         return ("F-nand", alts, truncated)
@@ -562,26 +576,11 @@ def statement_witnessed(br: Branch, s: SignedStatement) -> bool:
     return False
 
 
-def _upper_pairs(members):
-    xs, ys = [], []
-    for a in range(len(members)):
-        for b in range(a + 1, len(members)):
-            xs.append(members[a])
-            ys.append(members[b])
-    return xs, ys
-
-
 def _all_orderings(pool, limit=None):
     """Non-empty ordered selections from pool, shortest first, lexicographic."""
     top = len(pool) if limit is None else min(limit, len(pool))
     for m in range(1, top + 1):
         yield from permutations(pool, m)
-
-
-def _fresh_position_patterns(total, fresh):
-    """Index sets choosing which of the ``total`` slots hold fresh elements."""
-    from itertools import combinations
-    yield from combinations(range(total), fresh)
 
 
 def _weave(existing, fresh_positions, first_fresh):
@@ -609,15 +608,9 @@ def prove(f: Formula, cfg: ProverConfig | None = None) -> ProverOutcome:
     a self-verified Countermodel from the first complete open branch,
     or Unknown when the element/step budgets give out first.
     """
-    import sys
-
     cfg = cfg or ProverConfig()
     root = desugar(f)
     prover = _Prover(root, cfg)
-    # DFS depth is bounded by statements-per-branch; raise the limit once and
-    # never lower it (restoring could race with a concurrent proof attempt)
-    if sys.getrecursionlimit() < 50_000:
-        sys.setrecursionlimit(50_000)
     try:
         if prover.root_branch.closed:
             status, payload = "closed", None
@@ -645,22 +638,8 @@ def branch_is_closed(br: Branch) -> bool:
 
 
 def branch_is_complete(br: Branch) -> bool:
-    """All rules exhausted at the current stage with no new elements needed."""
-    if br.pending():
-        return False
-    # F-transitivity saturation: within a component of a formula's F-graph,
-    # every pair must already carry the F-statement
-    by_formula: dict[Formula, list[SignedStatement]] = {}
-    for s in br.statements:
-        if s.sign == F:
-            by_formula.setdefault(s.formula, []).append(s)
-    for f, stmts in by_formula.items():
-        comp = _components(br.n_elements, [(s.i, s.j) for s in stmts])
-        for a in range(br.n_elements):
-            for b in range(a + 1, br.n_elements):
-                if comp[a] == comp[b] and not br.holds(a, b, F, f):
-                    return False
-    return True
+    """All rules exhausted at the current stage: nothing is pending."""
+    return not br.pending()
 
 
 def extract_model(br: Branch) -> Assignment:
@@ -675,11 +654,10 @@ def extract_model(br: Branch) -> Assignment:
     if not branch_is_complete(br):
         raise BranchIncomplete("branch still has pending rule applications")
     universe = canonical_universe(br.n_elements)
-    bindings = {}
-    for name in sorted(atoms_of(br.root)):
-        edges = [(s.i, s.j) for s in br.statements
-                 if s.sign == F and s.formula == Atom(name)]
-        bindings[name] = Partition(universe, _components(br.n_elements, edges))
+    graphs = _f_graphs(br)
+    discrete = ((), tuple(range(br.n_elements)))
+    bindings = {name: Partition(universe, graphs.get(Atom(name), discrete)[1])
+                for name in sorted(atoms_of(br.root))}
     return Assignment(universe, bindings)
 
 

@@ -223,6 +223,17 @@ class TestUnexpectedErrorExitCode:
         assert "RuntimeError: unexpected" in err
 
 
+class TestDeepFormula:
+    DEEP = " => ".join(["s"] * 3000)
+
+    @pytest.mark.parametrize("command", ["parse", "check", "prove"])
+    def test_exits_64(self, capture, command):
+        code, out, err = capture(command, self.DEEP)
+        assert code == 64
+        assert out == ""
+        assert "nested too deeply" in err
+
+
 class TestDeterminism:
     def test_byte_stable_output(self, capture):
         a = capture("check", "((s => p) => s) => s", "--max-n", "3")

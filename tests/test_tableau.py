@@ -1,5 +1,10 @@
 """Tableau prover: worked proofs, countermodels, model extraction, verification."""
 
+import hashlib
+import json
+import sys
+from collections import Counter
+
 import pytest
 
 from partlog.core import top
@@ -142,6 +147,7 @@ class TestBranchPredicates:
                              statements={stmt(0, 2, "F", s): 0,
                                          stmt(1, 2, "F", s): 1})
         assert not branch_is_complete(unsaturated)
+        assert unsaturated.pending() == [("F-transitivity", stmt(0, 1, "F", s))]
         assert stmt(1, 0, "T", s) == stmt(0, 1, "T", s)  # symmetry by storage
 
     def test_statement_validation(self):
@@ -170,6 +176,46 @@ class TestWorklist:
         br = Branch(root=f, n_elements=2,
                     statements={stmt(0, 1, "F", f): 0})
         assert [kind for kind, _ in br.pending()] == ["falsifying-chain"]
+
+    def test_pending_names_the_owed_t_or_rule(self):
+        f = desugar(parse("s \\/ t"))
+        br = Branch(root=f, n_elements=2,
+                    statements={stmt(0, 1, "T", f): 0})
+        assert br.pending() == [("T-or", stmt(0, 1, "T", f))]
+
+
+class TestRecursionLimit:
+    def test_prove_leaves_the_recursion_limit_alone(self):
+        # pin a known limit, so the check does not depend on what ran before
+        saved = sys.getrecursionlimit()
+        sys.setrecursionlimit(3000)
+        try:
+            prove(parse("~~((s /\\ t) \\/ (s | t))"))
+            assert sys.getrecursionlimit() == 3000
+        finally:
+            sys.setrecursionlimit(saved)
+
+
+class TestTraceGolden:
+    """The bytes of ``prove --trace`` JSON on a seeded corpus, lemma on and
+    off, including budget-exhausted runs."""
+
+    DIGEST = "65c7a4ab6c39ca731178952d408e127c12c1962f2cffd7327940172fa91ecd27"
+
+    def test_trace_bytes_are_pinned(self):
+        digest = hashlib.sha256()
+        verdicts = Counter()
+        for lemma in (True, False):
+            cfg = ProverConfig(max_elements=5, max_steps=300,
+                               use_branch_closing_lemma=lemma)
+            for f in formula_corpus(seed=3, count=30, max_depth=3,
+                                    atom_names=("s", "t")):
+                out = prove(desugar(f), cfg)
+                verdicts[out.verdict] += 1
+                digest.update(json.dumps(outcome_to_json(out, include_trace=True),
+                                         sort_keys=True).encode())
+        assert verdicts == {"proved": 6, "countermodel": 44, "unknown": 10}
+        assert digest.hexdigest() == self.DIGEST
 
 
 class TestVerifyOutcome:
@@ -355,7 +401,6 @@ class TestJsonShapes:
         assert obj["statements"][0]["pair"] == ["u0", "u1"]
 
     def test_serialized_trace_replays_independently(self):
-        import json
         from partlog.tableau import trace_from_json
         out = prove(MODUS_PONENS)
         wire = json.loads(json.dumps(trace_to_json(out.trace)))
