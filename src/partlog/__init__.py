@@ -15,7 +15,7 @@ from .formula import (
     Atom, AtomCollision, Diff, DualFormula, Equiv, Formula, Impl, Inequiv,
     Join, Meet, Nand, NandPresent, Nor, Not, ONE, OpCode, ParseError, ZERO,
     Zero, One, cnf_of, complexity, desugar, dnf_dual_of, dual_opcode,
-    dual_to_text, dualize, dualize_back, double_pi_neg_transform,
+    dual_to_text, dualize, dualize_back, double_pi_neg_transform, lower,
     godel_transform, parse, single_pi_neg_transform, subformulas, to_text,
 )
 from .semantics import (

@@ -19,7 +19,7 @@ import sys
 from .core import InternalInvariantError, PartitionLogicError, logical_entropy
 from .core import partition_to_json
 from .formula import (
-    Atom, AtomCollision, NandPresent, ParseError, ZERO, desugar,
+    AtomCollision, NandPresent, ParseError, desugar,
     double_pi_neg_transform, dual_to_text, dualize, formula_to_json,
     godel_transform, parse as parse_formula, single_pi_neg_transform, to_text,
 )
@@ -107,7 +107,7 @@ _TRANSFORMS = {"single-pi": single_pi_neg_transform,
 
 def _cmd_transform(args) -> int:
     f = desugar(parse_formula(args.formula))
-    pi = ZERO if args.pi == "0" else Atom(args.pi)
+    pi = parse_formula(args.pi)     # the transforms accept only an atom or 0
     transformed = _TRANSFORMS[args.kind](f, pi)
     print(to_text(transformed))
     return EX_OK

@@ -3,9 +3,11 @@
 Desugared formulas use only the four primitive connectives (join, meet,
 implication, nand) plus the constants 0 and 1; the derived connectives
 (negation, equivalence, inequivalence, nor, difference) exist only before
-desugaring.  Dual formulas mirror the primitive layer for the algebra of
-equivalence relations, with d-superscripted atoms and the operations meet,
-join, difference, and nor.
+desugaring.  lower() desugars a formula into a hash-consed straight-line
+program, without recursion; desugar, atoms_of and every evaluator read it.
+Dual formulas mirror the primitive layer for the algebra of equivalence
+relations, with d-superscripted atoms and the operations meet, join,
+difference, and nor.
 """
 
 from __future__ import annotations
@@ -293,33 +295,71 @@ def to_text(f: Formula) -> str:
 # Desugaring
 # ---------------------------------------------------------------------------
 
+# the derived connectives as programs over their operands' instructions a, b
+_DERIVED = {
+    Equiv: lambda emit, a, b: emit(Meet, emit(Impl, a, b), emit(Impl, b, a)),
+    Inequiv: lambda emit, a, b: emit(Meet, emit(Join, a, b), emit(Nand, a, b)),
+    Nor: lambda emit, a, b: emit(Meet, emit(Impl, a, emit(Zero)),
+                                 emit(Impl, b, emit(Zero))),
+    # Diff(s, t) is "t minus s", the converse non-implication t /\ ~s
+    Diff: lambda emit, a, b: emit(Meet, b, emit(Impl, a, emit(Zero))),
+}
+
+
+def lower(f: Formula) -> tuple[tuple, ...]:
+    """Desugar f into a straight-line program, children before parents.
+
+    Instructions are (Atom, name, None), (Zero, None, None), (One, None, None)
+    or (op, i, j) for a primitive op on the values of instructions i and j;
+    the last one is the root.  Equal subformulas share one instruction: the
+    key is the flat tuple (op, i, j), so no tree is hashed, and a Python
+    subtree shared inside f is lowered once.  Children are visited in the
+    desugared formula's order, so atoms come out left to right.
+    """
+    index: dict[tuple, int] = {}        # instruction -> position, in order
+    done: dict[int, int] = {}           # id(node) -> its instruction
+
+    def emit(op, x=None, y=None) -> int:
+        return index.setdefault((op, x, y), len(index))
+
+    stack: list[tuple[Formula, bool]] = [(f, False)]
+    while stack:
+        g, expanded = stack.pop()
+        if id(g) in done:
+            continue
+        kind = type(g)
+        if kind is Atom:
+            i = emit(Atom, g.name)
+        elif kind is Zero or kind is One:
+            i = emit(kind)
+        elif not expanded:
+            stack.append((g, True))
+            if kind is Not:
+                stack.append((g.operand, False))
+            elif kind not in _BINARY:
+                raise TypeError("not a Formula: %r" % (g,))
+            else:                       # Diff(s, t) desugars with t first
+                first, second = (g.right, g.left) if kind is Diff else (g.left, g.right)
+                stack += ((second, False), (first, False))
+            continue
+        elif kind is Not:
+            i = emit(Impl, done[id(g.operand)], emit(Zero))
+        else:
+            a, b = done[id(g.left)], done[id(g.right)]
+            rule = _DERIVED.get(kind)
+            i = rule(emit, a, b) if rule else emit(kind, a, b)
+        done[id(g)] = i
+    return tuple(index)
+
+
 def desugar(f: Formula) -> Formula:
-    """Rewrite derived connectives into the four primitives and constants."""
-    match f:
-        case Atom() | Zero() | One():
-            return f
-        case Join(a, b):
-            return Join(desugar(a), desugar(b))
-        case Meet(a, b):
-            return Meet(desugar(a), desugar(b))
-        case Impl(a, b):
-            return Impl(desugar(a), desugar(b))
-        case Nand(a, b):
-            return Nand(desugar(a), desugar(b))
-        case Not(a):
-            return Impl(desugar(a), ZERO)
-        case Equiv(a, b):
-            da, db = desugar(a), desugar(b)
-            return Meet(Impl(da, db), Impl(db, da))
-        case Inequiv(a, b):
-            da, db = desugar(a), desugar(b)
-            return Meet(Join(da, db), Nand(da, db))
-        case Nor(a, b):
-            return Meet(Impl(desugar(a), ZERO), Impl(desugar(b), ZERO))
-        case Diff(a, b):
-            # Diff(s, t) is "t minus s", the converse non-implication
-            return Meet(desugar(b), Impl(desugar(a), ZERO))
-    raise TypeError("not a Formula: %r" % (f,))
+    """Rewrite derived connectives into the four primitives and constants,
+    by rebuilding lower(f); equal subformulas come out as one object."""
+    nodes: list[Formula] = []
+    for op, x, y in lower(f):
+        nodes.append(Atom(x) if op is Atom else
+                     op() if x is None else op(nodes[x], nodes[y]))
+    return nodes[-1]
 
 
 def is_desugared(f: Formula) -> bool:
@@ -332,16 +372,7 @@ def is_desugared(f: Formula) -> bool:
 
 
 def atoms_of(f: Formula) -> set[str]:
-    match f:
-        case Atom(name):
-            return {name}
-        case Zero() | One():
-            return set()
-        case Not(a):
-            return atoms_of(a)
-        case _ if isinstance(f, _BINARY):
-            return atoms_of(f.left) | atoms_of(f.right)
-    raise TypeError("not a Formula: %r" % (f,))
+    return {x for op, x, _ in lower(f) if op is Atom}
 
 
 def subformulas(f: Formula) -> list[Formula]:

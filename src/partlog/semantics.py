@@ -5,6 +5,11 @@ shared universe; a partition tautology always evaluates to the discrete
 partition 1, and a weak partition tautology never evaluates to the indiscrete
 partition 0.  Countermodel search enumerates assignments over universes of
 increasing size, so the first countermodel reported is of minimal size.
+
+One interpreter, _run, executes the program of formula.lower under three
+operation tables: partitions, equivalence relations (the dual algebra, read
+through dualize_back) and truth values.  A search lowers its formula once and
+runs the program once per assignment.
 """
 
 from __future__ import annotations
@@ -21,8 +26,8 @@ from .core import (
     make_partition, top,
 )
 from .formula import (
-    Atom, DAtom, DBottom, DDiff, DJoin, DMeet, DNor, DTop, DualFormula, Equiv,
-    Formula, Impl, Join, Meet, Nand, One, Zero, atoms_of, desugar,
+    Atom, DualFormula, Equiv, Formula, Impl, Join, Meet, Nand, One, Zero,
+    dualize_back, lower,
 )
 
 
@@ -66,39 +71,43 @@ class Assignment:
             raise UnboundAtom(name) from None
 
 
+def _run(code, atom, zero, one, ops):
+    """Run a program from lower() in one algebra: atom maps a name to its
+    value, zero and one are the values of the constants, and ops maps each
+    primitive connective to a binary operation.  Returns the root's value."""
+    vals: list = []
+    push = vals.append
+    for op, x, y in code:
+        if op is Atom:
+            push(atom(x))
+        elif op is Zero:
+            push(zero)
+        elif op is One:
+            push(one)
+        else:
+            push(ops[op](vals[x], vals[y]))
+    return vals[-1]
+
+
+def _partition_ops() -> dict:
+    # read from core at call time, so that a wrapped kernel operation is called
+    return {Join: core.join, Meet: core.meet, Impl: core.implies, Nand: core.nand}
+
+
 def eval_formula(f: Formula, a: Assignment) -> Partition:
     """Evaluate f in the partition algebra on a's universe.
 
     The formula is desugared first; 0 and 1 always denote the indiscrete and
     discrete partitions.  Equal subformulas are evaluated once.
     """
-    memo: dict[Formula, Partition] = {}
+    u = a.universe
+    return _run(lower(f), a.get, bottom(u), top(u), _partition_ops())
 
-    def go(g: Formula) -> Partition:
-        hit = memo.get(g)
-        if hit is not None:
-            return hit
-        match g:
-            case Atom(name):
-                v = a.get(name)
-            case Zero():
-                v = bottom(a.universe)
-            case One():
-                v = top(a.universe)
-            case Join(x, y):
-                v = core.join(go(x), go(y))
-            case Meet(x, y):
-                v = core.meet(go(x), go(y))
-            case Impl(x, y):
-                v = core.implies(go(x), go(y))
-            case Nand(x, y):
-                v = core.nand(go(x), go(y))
-            case _:
-                raise TypeError("unreachable")
-        memo[g] = v
-        return v
 
-    return go(desugar(f))
+# The dual algebra on the dual of each primitive, read through dualize_back:
+# (f => g)^d = g^d - f^d, so Impl's operands are swapped.
+_DUAL_OPS = {Join: eq_meet, Meet: eq_join, Impl: lambda x, y: eq_diff(y, x),
+             Nand: eq_nor}
 
 
 def eval_dual(d: DualFormula, a: Assignment) -> PairRelation:
@@ -107,56 +116,17 @@ def eval_dual(d: DualFormula, a: Assignment) -> PairRelation:
     A d-superscripted atom denotes the indit set of its binding, so
     eval_dual(dualize(f), a) = indit(eval_formula(f, a)).
     """
-    memo: dict[DualFormula, PairRelation] = {}
-
-    def go(g: DualFormula) -> PairRelation:
-        hit = memo.get(g)
-        if hit is not None:
-            return hit
-        match g:
-            case DAtom(name):
-                v = indit(a.get(name))
-            case DTop():
-                v = PairRelation.full(a.universe)
-            case DBottom():
-                v = PairRelation.diagonal(a.universe)
-            case DMeet(x, y):
-                v = eq_meet(go(x), go(y))
-            case DJoin(x, y):
-                v = eq_join(go(x), go(y))
-            case DDiff(x, y):
-                v = eq_diff(go(x), go(y))
-            case DNor(x, y):
-                v = eq_nor(go(x), go(y))
-            case _:
-                raise TypeError("unreachable")
-        memo[g] = v
-        return v
-
-    return go(d)
+    u = a.universe
+    return _run(lower(dualize_back(d)), lambda name: indit(a.get(name)),
+                PairRelation.full(u), PairRelation.diagonal(u), _DUAL_OPS)
 
 
 # ---------------------------------------------------------------------------
 # Truth tables and the reduction principle
 # ---------------------------------------------------------------------------
 
-def _truth_value(f: Formula, env: dict[str, bool]) -> bool:
-    match f:
-        case Atom(name):
-            return env[name]
-        case Zero():
-            return False
-        case One():
-            return True
-        case Join(x, y):
-            return _truth_value(x, env) or _truth_value(y, env)
-        case Meet(x, y):
-            return _truth_value(x, env) and _truth_value(y, env)
-        case Impl(x, y):
-            return (not _truth_value(x, env)) or _truth_value(y, env)
-        case Nand(x, y):
-            return not (_truth_value(x, env) and _truth_value(y, env))
-    raise TypeError("unreachable")
+_BOOL_OPS = {Join: lambda x, y: x or y, Meet: lambda x, y: x and y,
+             Impl: lambda x, y: not x or y, Nand: lambda x, y: not (x and y)}
 
 
 def is_truth_table_tautology(f: Formula) -> bool:
@@ -166,19 +136,17 @@ def is_truth_table_tautology(f: Formula) -> bool:
     Pi(2) = P(1), by evaluating over the two partitions on a two-element
     universe; the routes must agree.
     """
-    g = desugar(f)
-    names = sorted(atoms_of(g))
+    code = lower(f)
+    names = sorted({x for op, x, _ in code if op is Atom})
     u2 = canonical_universe(2)
     zero_one = (bottom(u2), top(u2))
-    by_tables = True
-    by_pi2 = True
+    ops = _partition_ops()
+    by_tables = by_pi2 = True
     for bits in product((False, True), repeat=len(names)):
         env = dict(zip(names, bits))
-        if not _truth_value(g, env):
-            by_tables = False
-        a = Assignment(u2, {n: zero_one[b] for n, b in env.items()})
-        if eval_formula(g, a) != top(u2):
-            by_pi2 = False
+        by_tables &= bool(_run(code, env.__getitem__, False, True, _BOOL_OPS))
+        pi2 = {n: zero_one[b] for n, b in env.items()}
+        by_pi2 &= _run(code, pi2.__getitem__, *zero_one, ops) == zero_one[1]
     if by_tables != by_pi2:
         raise core.InternalInvariantError(
             "truth-table and Pi(2) routes disagree on %r" % (f,))
@@ -225,23 +193,22 @@ class CheckResult:
 def _search(f: Formula, max_n: int, budget: int, weak: bool) -> CheckResult:
     if max_n < 2:
         raise ValueError("max_n must be at least 2")
-    g = desugar(f)
-    names = sorted(atoms_of(g))
+    code = lower(f)
+    names = sorted({x for op, x, _ in code if op is Atom})
     total = sum(bell(n) ** len(names) for n in range(2, max_n + 1))
     if total > budget:
         raise BudgetExceeded(
             "search needs %d evaluations but the budget is %d" % (total, budget))
+    ops = _partition_ops()
     for n in range(2, max_n + 1):
-        t = top(canonical_universe(n))
-        b = bottom(canonical_universe(n))
-        for a in assignments_over(names, n):
-            v = eval_formula(g, a)
-            if weak:
-                if v == b:
-                    return CheckResult("countermodel", max_n, a, v, None)
-            elif v != t:
-                pair = next(p for p in v.universe.pairs() if v.same_block(*p))
-                return CheckResult("countermodel", max_n, a, v, pair)
+        u = canonical_universe(n)
+        t, b = top(u), bottom(u)
+        for combo in product(partitions_on(n), repeat=len(names)):
+            env = dict(zip(names, combo))
+            v = _run(code, env.__getitem__, b, t, ops)
+            if (v == b) if weak else (v != t):
+                pair = None if weak else next(p for p in u.pairs() if v.same_block(*p))
+                return CheckResult("countermodel", max_n, Assignment(u, env), v, pair)
     verdict = "weak_tautology_up_to" if weak else "tautology_up_to"
     return CheckResult(verdict, max_n)
 

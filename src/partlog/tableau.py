@@ -711,12 +711,11 @@ def verify_outcome(f: Formula, outcome: ProverOutcome) -> bool:
     is evaluated under it; a proof must replay and must survive exhaustive
     countermodel search on universes of size up to 3.
     """
-    g = desugar(f)
     if outcome.verdict == "countermodel":
         if outcome.assignment is None or outcome.pair is None:
             return False
         try:
-            value = eval_formula(g, outcome.assignment)
+            value = eval_formula(f, outcome.assignment)
         except PartitionLogicError:
             return False
         a, b = outcome.pair
@@ -726,7 +725,7 @@ def verify_outcome(f: Formula, outcome: ProverOutcome) -> bool:
             replay_trace(outcome.trace)
         except VerificationFailed:
             return False
-        return not check_partition_tautology(g, 3).is_countermodel
+        return not check_partition_tautology(f, 3).is_countermodel
     return True
 
 

@@ -159,6 +159,19 @@ class TestDualTransform:
                              "--pi", "s")
         assert code == 64
 
+    @pytest.mark.parametrize("pi", ["1", "", "Q", "s => t"])
+    def test_pi_that_is_not_an_atom_or_zero_exits_64(self, capture, pi):
+        code, out, err = capture("transform", "s \\/ ~s", "--kind", "single-pi",
+                                 "--pi", pi)
+        assert code == 64
+        assert out == "" and err.startswith("partlog: ")
+
+    def test_pi_atom_round_trips_through_parse(self, capture):
+        code, out, _ = capture("transform", "s \\/ ~s", "--kind", "single-pi",
+                               "--pi", "q")
+        assert code == 0
+        assert out.strip() == "(s => q) \\/ ((s => q) => q)"
+
 
 class TestEntropy:
     def test_example_value(self, capture, model_file):

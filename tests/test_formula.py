@@ -10,8 +10,9 @@ from partlog.formula import (
     Diff, Equiv, Impl, Inequiv, Join, Meet, Nand, NandPresent, Nor,
     Not, ONE, OpCode, ParseError, ZERO, atoms_of, cnf_of, complexity, desugar,
     dnf_dual_of, dual_opcode, dual_to_text, dualize, dualize_back,
-    formula_from_json, formula_to_json, godel_transform, is_desugared, parse,
-    single_pi_neg_transform, double_pi_neg_transform, subformulas, to_text,
+    formula_from_json, formula_to_json, godel_transform, is_desugared, lower,
+    parse, single_pi_neg_transform, double_pi_neg_transform, subformulas,
+    to_text,
 )
 
 S, T, P = Atom("s"), Atom("t"), Atom("p")
@@ -113,6 +114,30 @@ class TestDesugar:
             d = desugar(f)
             assert is_desugared(d)
             assert desugar(d) == d
+
+
+class TestLower:
+    def test_equiv_program(self):
+        assert lower(Equiv(S, T)) == ((Atom, "s", None), (Atom, "t", None),
+                                      (Impl, 0, 1), (Impl, 1, 0), (Meet, 2, 3))
+
+    def test_equal_subformulas_share_one_instruction(self):
+        code = lower(Join(Impl(S, T), Impl(Atom("s"), T)))
+        assert code[-1] == (Join, 2, 2) and len(code) == 4
+
+    def test_children_come_first_in_desugared_order(self):
+        # Diff(s, t) desugars to t /\ ~s, so t is met first
+        code = lower(Diff(S, Not(T)))
+        assert code[0] == (Atom, "t", None)
+        for i, (op, x, y) in enumerate(code):
+            if op in (Join, Meet, Impl, Nand):
+                assert x < i and y < i
+
+    def test_rejects_non_formulas(self):
+        with pytest.raises(TypeError, match="not a Formula"):
+            lower(Join(S, "t"))
+        with pytest.raises(TypeError, match="not a Formula"):
+            desugar(Not(3))
 
 
 class TestDualize:

@@ -1,15 +1,19 @@
 """Evaluation, tautology checking, omega_n, Bell numbers, and the Boolean core."""
 
-from itertools import combinations
+import sys
+import time
+from itertools import combinations, product
 
 import pytest
 
 from partlog.core import (
-    Universe, bottom, implies, indit, make_partition, meet, PairRelation, top,
+    Universe, bottom, implies, indit, join as pjoin, make_partition, meet,
+    nand, PairRelation, top,
 )
 from partlog.corpus import formula_corpus
 from partlog.formula import (
-    Atom, Equiv, Impl, Join, ZERO, desugar, dualize, parse,
+    Atom, Diff, Equiv, Impl, Inequiv, Join, Meet, Nand, Nor, Not, One, Zero,
+    ZERO, atoms_of, desugar, dualize, parse, subformulas,
 )
 from partlog.semantics import (
     Assignment, BudgetExceeded, NotPiRegular, TooLarge,
@@ -27,6 +31,71 @@ PI = make_partition(U5, [["a", "b"], ["c", "d", "e"]])
 PEIRCE = parse("((s => p) => s) => s")
 MODUS_PONENS = parse("(s /\\ (s => p)) => p")
 ACCUMULATION = parse("s => (p => (s /\\ p))")
+
+
+def truth_value(f, env):
+    """Classical truth value of a surface formula, by recursion over the AST."""
+    match f:
+        case Atom(name):
+            return env[name]
+        case Zero():
+            return False
+        case One():
+            return True
+        case Not(x):
+            return not truth_value(x, env)
+        case Join(x, y):
+            return truth_value(x, env) or truth_value(y, env)
+        case Meet(x, y):
+            return truth_value(x, env) and truth_value(y, env)
+        case Impl(x, y):
+            return not truth_value(x, env) or truth_value(y, env)
+        case Nand(x, y):
+            return not (truth_value(x, env) and truth_value(y, env))
+        case Equiv(x, y):
+            return truth_value(x, env) == truth_value(y, env)
+        case Inequiv(x, y):
+            return truth_value(x, env) != truth_value(y, env)
+        case Nor(x, y):
+            return not (truth_value(x, env) or truth_value(y, env))
+        case Diff(x, y):
+            return truth_value(y, env) and not truth_value(x, env)
+    raise TypeError(f)
+
+
+def reference_desugar(f):
+    """The desugaring rules, stated once more as a recursive rewrite."""
+    match f:
+        case Atom() | Zero() | One():
+            return f
+        case Not(x):
+            return Impl(reference_desugar(x), ZERO)
+    x, y = reference_desugar(f.left), reference_desugar(f.right)
+    match f:
+        case Join() | Meet() | Impl() | Nand():
+            return type(f)(x, y)
+        case Equiv():
+            return Meet(Impl(x, y), Impl(y, x))
+        case Inequiv():
+            return Meet(Join(x, y), Nand(x, y))
+        case Nor():
+            return Meet(Impl(x, ZERO), Impl(y, ZERO))
+        case Diff():
+            return Meet(y, Impl(x, ZERO))
+    raise TypeError(f)
+
+
+def reference_eval(f, a):
+    """Partition value of a desugared formula, by recursion over the AST."""
+    match f:
+        case Atom(name):
+            return a.get(name)
+        case Zero():
+            return bottom(a.universe)
+        case One():
+            return top(a.universe)
+    op = {Join: pjoin, Meet: meet, Impl: implies, Nand: nand}[type(f)]
+    return op(reference_eval(f.left, a), reference_eval(f.right, a))
 
 
 def bell_oracle(n):
@@ -55,14 +124,13 @@ class TestEval:
         assert eval_formula(parse("s => ((s => p) => (s /\\ p))"), a) == bottom(u)
 
     def test_all_top_assignment_matches_truth_table(self):
-        from partlog.semantics import _truth_value
         u2 = canonical_universe(2)
         names = ("p", "s", "t")
         a = Assignment(u2, {n: top(u2) for n in names})
         for f in formula_corpus(seed=11, count=60, max_depth=4):
             at_true = eval_formula(f, a) == top(u2)
             # independent truth-table oracle at the all-true row
-            assert at_true == _truth_value(desugar(f), {n: True for n in names})
+            assert at_true == truth_value(f, {n: True for n in names})
 
     def test_unbound_atom(self):
         with pytest.raises(UnboundAtom):
@@ -98,6 +166,34 @@ class TestEvalDual:
             for a in assignments_over(("p", "s", "t"), 3):
                 assert eval_dual(d, a) == indit(eval_formula(g, a))
                 break  # one assignment per formula here; exhaustive run in identities
+
+
+class TestLoweringAgainstRecursiveReference:
+    """desugar, atoms_of and all three evaluators share formula.lower; the
+    recursive reference above restates the rules independently of it."""
+
+    @staticmethod
+    def corpus():
+        fs = formula_corpus(seed=31, count=100, max_depth=5)
+        small = formula_corpus(seed=32, count=40, max_depth=3)
+        fs += [Nor(x, y) for x, y in zip(small[::2], small[1::2])]
+        fs += [Diff(x, Not(y)) for x, y in zip(small[1::2], small[::2])]
+        return fs
+
+    def test_lowering_matches_the_recursive_rules(self):
+        names = ("p", "s", "t")
+        models = list(assignments_over(names, 3))[::40]   # 4 of 125
+        rows = [dict(zip(names, bits)) for bits in product((False, True), repeat=3)]
+        for f in self.corpus():
+            g = reference_desugar(f)
+            assert desugar(f) == g
+            assert atoms_of(f) == {h.name for h in subformulas(g) if type(h) is Atom}
+            for a in models:
+                want = reference_eval(g, a)
+                assert eval_formula(f, a) == want
+                assert eval_dual(dualize(g), a) == indit(want)
+            want_tt = all(truth_value(f, env) for env in rows)
+            assert is_truth_table_tautology(f) == want_tt
 
 
 class TestTruthTables:
@@ -175,6 +271,41 @@ class TestOmega:
     def test_too_large(self):
         with pytest.raises(TooLarge):
             omega(7)
+
+    @pytest.mark.parametrize("n", [5, 6])
+    def test_desugar_and_atoms_of_the_largest_omegas(self, n):
+        f = omega(n)
+        g = desugar(f)
+        assert type(g) is Join and atoms_of(g) == atoms_of(f)
+        assert len(atoms_of(f)) == bell(n) + 1
+
+    def test_omega5_fails_on_the_pigeonhole_model(self):
+        a = omega_countermodel(5)
+        assert eval_formula(omega(5), a) == bottom(a.universe)
+
+
+class TestLongFormulas:
+    def test_shared_equivalence_chain_is_checked_quickly(self):
+        # the parser shares each left operand twice after desugaring, so the
+        # desugared tree unfolds to 2^40 nodes; lowering never unfolds it
+        f = parse("s" + " <=> s" * 40)
+        start = time.perf_counter()
+        r = check_partition_tautology(f, 3)
+        assert r.is_countermodel and r.evaluated == r.assignment.get("s")
+        assert time.perf_counter() - start < 0.5
+
+    def test_join_chain_deeper_than_the_recursion_limit(self):
+        f = Atom("s")
+        for i in range(3000):
+            f = Join(f, Atom("t" if i % 2 else "s"))
+        saved = sys.getrecursionlimit()
+        sys.setrecursionlimit(600)
+        try:
+            assert type(desugar(f)) is Join
+            assert atoms_of(f) == {"s", "t"}
+            assert check_partition_tautology(f, 2).is_countermodel
+        finally:
+            sys.setrecursionlimit(saved)
 
 
 class TestBell:
