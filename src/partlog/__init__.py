@@ -1,14 +1,17 @@
 """Partition logic: the algebra of partitions on a finite set, tautology
 checking by exhaustive model search, and a semantic-tableau prover with
-countermodel extraction."""
+countermodel extraction.
 
+The relation route (PairRelation, dit/indit, closure/interior, the dual
+algebra; core.RELATION_NAMES) is importable from here as well, and loads
+partlog.relation, and with it numpy, on first use."""
+
+from . import core
 from .core import (
     BoolOpTable, EmptyBlock, InternalInvariantError, MissingElements,
-    NotEquivalence, OverlappingBlocks, PairRelation, Partition,
-    PartitionLogicError, RelationKind, Universe, UniverseMismatch, bottom,
-    closure, dit, dual_op, enumerate_partitions, eq_diff, eq_join, eq_meet,
-    eq_nor, from_equivalence, graph_op, implies, indit, interior, join,
-    logical_entropy, make_partition, meet, nand, neg, pi_nand, pi_neg,
+    NotEquivalence, OverlappingBlocks, Partition, PartitionLogicError,
+    Universe, UniverseMismatch, bottom, enumerate_partitions, graph_op,
+    implies, join, logical_entropy, make_partition, meet, nand, neg, pi_neg,
     refines, top,
 )
 from .formula import (
@@ -30,3 +33,9 @@ from .tableau import (
 )
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    if name in core.RELATION_NAMES:
+        return getattr(core, name)
+    raise AttributeError("module %r has no attribute %r" % (__name__, name))

@@ -23,7 +23,6 @@ from .formula import (
     double_pi_neg_transform, dual_to_text, dualize, formula_to_json,
     godel_transform, parse as parse_formula, single_pi_neg_transform, to_text,
 )
-from .identities import SuiteContext, run_suite
 from .semantics import (
     BudgetExceeded, UnboundAtom, assignment_from_json, check_partition_tautology,
     check_result_to_json, check_weak, eval_formula,
@@ -107,13 +106,17 @@ _TRANSFORMS = {"single-pi": single_pi_neg_transform,
 
 def _cmd_transform(args) -> int:
     f = desugar(parse_formula(args.formula))
-    pi = parse_formula(args.pi)     # the transforms accept only an atom or 0
+    try:
+        pi = parse_formula(args.pi)     # the transforms accept only an atom or 0
+    except ParseError as exc:
+        return _fail(EX_USAGE, "--pi: %s" % exc)
     transformed = _TRANSFORMS[args.kind](f, pi)
     print(to_text(transformed))
     return EX_OK
 
 
 def _cmd_identities(args) -> int:
+    from .identities import SuiteContext, run_suite     # loads numpy
     seed = args.seed
     env_seed = os.environ.get("PARTLOG_SEED")
     if env_seed is not None:

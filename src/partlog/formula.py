@@ -363,12 +363,20 @@ def desugar(f: Formula) -> Formula:
 
 
 def is_desugared(f: Formula) -> bool:
-    match f:
-        case Atom() | Zero() | One():
-            return True
-        case Join(a, b) | Meet(a, b) | Impl(a, b) | Nand(a, b):
-            return is_desugared(a) and is_desugared(b)
-    return False
+    """True iff f is built from atoms, 0, 1 and the four primitives only.
+
+    An explicit-stack walk that visits each shared subtree once."""
+    stack, seen = [f], set()
+    while stack:
+        g = stack.pop()
+        if id(g) in seen:
+            continue
+        seen.add(id(g))
+        if isinstance(g, (Join, Meet, Impl, Nand)):
+            stack += (g.left, g.right)
+        elif not isinstance(g, (Atom, Zero, One)):
+            return False
+    return True
 
 
 def atoms_of(f: Formula) -> set[str]:

@@ -13,14 +13,10 @@ import random
 from dataclasses import dataclass
 from itertools import product
 
-import numpy as np
-
 from . import core
 from .core import (
-    BoolOpTable, PairRelation, bottom, chain_bounded_closure, closure, dit,
-    eq_diff, eq_join, eq_meet, eq_nor, from_equivalence, graph_op, implies,
-    indit, interior, join, make_partition, meet, modular_atom, nand, neg,
-    pi_nand, pi_neg, refines, top,
+    BoolOpTable, bottom, graph_op, implies, join, make_partition, meet,
+    modular_atom, nand, neg, pi_neg, refines, top,
 )
 from .corpus import formula_corpus, non_tautology_corpus, tautology_corpus
 from .formula import (
@@ -28,6 +24,10 @@ from .formula import (
     dual_opcode, dualize, dualize_back, is_desugared, parse, to_text,
 )
 from .corpus import random_formula
+from .relation import (
+    PairRelation, chain_bounded_closure, closure, dit, eq_diff, eq_join,
+    eq_meet, eq_nor, from_equivalence, indit, interior, pi_nand,
+)
 from .semantics import (
     Assignment, block_algebra_size, boolean_core, canonical_universe,
     check_partition_tautology, check_weak, chi, eval_dual, eval_formula,
@@ -116,8 +116,8 @@ def _interior_lemma(ctx):
     u = canonical_universe(n)
     checks = 0
     for _ in range(300):
-        a = np.array([[rng.random() < 0.3 for _ in range(n)] for _ in range(n)])
-        b = np.array([[rng.random() < 0.3 for _ in range(n)] for _ in range(n)])
+        a = [[rng.random() < 0.3 for _ in range(n)] for _ in range(n)]
+        b = [[rng.random() < 0.3 for _ in range(n)] for _ in range(n)]
         ra, rb = PairRelation(u, a), PairRelation(u, b)
         assert interior(ra.intersection(rb)) == \
             interior(interior(ra).intersection(interior(rb)))
@@ -142,7 +142,7 @@ def _common_dits(ctx):
         ds = [dit(p) for p in partitions_on(n) if not p.is_bottom()]
         for a in ds:
             for b in ds:
-                assert np.any(a.matrix & b.matrix), "disjoint non-empty dit sets"
+                assert a.intersection(b).count, "disjoint non-empty dit sets"
                 checks += 1
     return checks
 

@@ -17,18 +17,20 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import product
-from typing import Iterator, Sequence
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 from . import core
 from .core import (
-    PairRelation, Partition, PartitionLogicError, Universe, bottom,
-    enumerate_partitions, eq_diff, eq_join, eq_meet, eq_nor, indit,
+    Partition, PartitionLogicError, Universe, bottom, enumerate_partitions,
     make_partition, top,
 )
 from .formula import (
     Atom, DualFormula, Equiv, Formula, Impl, Join, Meet, Nand, One, Zero,
     dualize_back, lower,
 )
+
+if TYPE_CHECKING:
+    from .relation import PairRelation
 
 
 class UnboundAtom(PartitionLogicError):
@@ -104,21 +106,21 @@ def eval_formula(f: Formula, a: Assignment) -> Partition:
     return _run(lower(f), a.get, bottom(u), top(u), _partition_ops())
 
 
-# The dual algebra on the dual of each primitive, read through dualize_back:
-# (f => g)^d = g^d - f^d, so Impl's operands are swapped.
-_DUAL_OPS = {Join: eq_meet, Meet: eq_join, Impl: lambda x, y: eq_diff(y, x),
-             Nand: eq_nor}
-
-
 def eval_dual(d: DualFormula, a: Assignment) -> PairRelation:
     """Evaluate a dual formula in the algebra of equivalence relations.
 
     A d-superscripted atom denotes the indit set of its binding, so
-    eval_dual(dualize(f), a) = indit(eval_formula(f, a)).
+    eval_dual(dualize(f), a) = indit(eval_formula(f, a)).  The dual formula
+    is read through dualize_back, each primitive running as its dual in the
+    relation module's one table; (f => g)^d = g^d - f^d, so Impl swaps its
+    operands into the difference.  Loads partlog.relation (and numpy).
     """
+    from .relation import _DUAL_OPS as dual, PairRelation, indit
     u = a.universe
+    ops = {Join: dual["meet"], Meet: dual["join"],
+           Impl: lambda x, y: dual["diff"](y, x), Nand: dual["nor"]}
     return _run(lower(dualize_back(d)), lambda name: indit(a.get(name)),
-                PairRelation.full(u), PairRelation.diagonal(u), _DUAL_OPS)
+                PairRelation.full(u), PairRelation.diagonal(u), ops)
 
 
 # ---------------------------------------------------------------------------

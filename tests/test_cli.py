@@ -166,6 +166,13 @@ class TestDualTransform:
         assert code == 64
         assert out == "" and err.startswith("partlog: ")
 
+    @pytest.mark.parametrize("pi", ["", "s =>"])
+    def test_pi_parse_error_names_the_option(self, capture, pi):
+        code, out, err = capture("transform", "s \\/ ~s", "--kind", "single-pi",
+                                 "--pi", pi)
+        assert code == 64 and out == ""
+        assert err.startswith("partlog: --pi: unexpected 'end of input'")
+
     def test_pi_atom_round_trips_through_parse(self, capture):
         code, out, _ = capture("transform", "s \\/ ~s", "--kind", "single-pi",
                                "--pi", "q")
@@ -196,14 +203,15 @@ class TestIdentities:
         assert "seed=7" in out
 
     def test_failing_entry_exits_one(self, capture, monkeypatch):
-        import partlog.cli as cli
+        import partlog.identities as identities
         from partlog.identities import SuiteResult
 
         def rigged(ctx, names=None):
             return [SuiteResult("core/demo", True, 3),
                     SuiteResult("core/broken", False, 0, "boom")]
 
-        monkeypatch.setattr(cli, "run_suite", rigged)
+        # cli imports the suite when the command runs
+        monkeypatch.setattr(identities, "run_suite", rigged)
         code, out, _ = capture("identities")
         assert code == 1
         assert "FAIL core/broken" in out and "passed 1 failed 1" in out

@@ -396,6 +396,12 @@ class TestEntropyEnumeration:
         assert logical_entropy(SIGMA) == Fraction(12, 25)
         assert logical_entropy(SIGMA) == Fraction(len(brute_dit_pairs(SIGMA)), 25)
 
+    def test_entropy_from_block_sizes_matches_dit_count(self):
+        for n in range(2, 6):
+            u = Universe(tuple("e%d" % k for k in range(n)))
+            for p in enumerate_partitions(u):
+                assert logical_entropy(p) == Fraction(dit(p).count, n * n)
+
     @pytest.mark.parametrize("n,count", [(2, 2), (3, 5), (4, 15), (5, 52)])
     def test_enumeration_counts_are_bell_numbers(self, n, count):
         u = Universe(tuple("u%d" % i for i in range(n)))

@@ -116,6 +116,36 @@ class TestDesugar:
             assert desugar(d) == d
 
 
+def recursive_is_desugared(f):
+    """The recursive rule, as a test-local reference."""
+    if isinstance(f, (Atom, type(ZERO), type(ONE))):
+        return True
+    if isinstance(f, (Join, Meet, Impl, Nand)):
+        return recursive_is_desugared(f.left) and recursive_is_desugared(f.right)
+    return False
+
+
+class TestIsDesugared:
+    @pytest.mark.parametrize("n", [5, 6])
+    def test_omega(self, n):
+        from partlog.semantics import omega
+        assert is_desugared(desugar(omega(n)))
+
+    def test_deep_chain_with_equiv_is_not_desugared(self):
+        f = Equiv(S, T)
+        for _ in range(3000):
+            f = Join(S, f)
+        assert not is_desugared(f)
+        assert is_desugared(desugar(f))
+
+    def test_agrees_with_recursive_reference_on_corpus(self):
+        from partlog.corpus import formula_corpus
+        corpus = formula_corpus(17, 150, max_depth=5)
+        for f in corpus + [desugar(f) for f in corpus]:
+            assert is_desugared(f) == recursive_is_desugared(f), f
+        assert not is_desugared("s") and not is_desugared(Join(S, "t"))
+
+
 class TestLower:
     def test_equiv_program(self):
         assert lower(Equiv(S, T)) == ((Atom, "s", None), (Atom, "t", None),
