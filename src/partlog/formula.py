@@ -3,11 +3,23 @@
 Desugared formulas use only the four primitive connectives (join, meet,
 implication, nand) plus the constants 0 and 1; the derived connectives
 (negation, equivalence, inequivalence, nor, difference) exist only before
-desugaring.  lower() desugars a formula into a hash-consed straight-line
-program, without recursion; desugar, atoms_of and every evaluator read it.
-Dual formulas mirror the primitive layer for the algebra of equivalence
-relations, with d-superscripted atoms and the operations meet, join,
-difference, and nor.
+desugaring.  Dual formulas mirror the primitive layer for the algebra of
+equivalence relations, with d-superscripted atoms and the operations meet,
+join, difference, and nor.
+
+No function here recurses, so depth costs no stack.  There are two walks, one
+interpreter, one parser loop:
+
+- _fold, an explicit-stack post-order fold that visits each shared subtree
+  once.  lower() is a fold that desugars f into a hash-consed straight-line
+  program; complexity, subformulas, is_desugared, dualize_back and the JSON
+  pair are folds too.
+- _print, an explicit-stack printer that pushes text pieces and joins them
+  once; to_text and dual_to_text feed it.
+- _run, the interpreter of lower()'s programs under a table of operations.
+  Evaluation in every algebra, desugar, dualize and the transforms are runs.
+- parse, one precedence-climbing loop over operand and operator stacks, read
+  from the one operator table that the printer reads too.
 """
 
 from __future__ import annotations
@@ -121,6 +133,7 @@ ZERO = Zero()
 ONE = One()
 
 _BINARY = (Join, Meet, Impl, Nand, Equiv, Inequiv, Nor, Diff)
+_PRIMITIVE = frozenset({Atom, Zero, One, Join, Meet, Impl, Nand})
 
 
 # ---------------------------------------------------------------------------
@@ -162,102 +175,122 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
     return out
 
 
-class _Parser:
-    """Recursive descent over the precedence tower ~, /\\, \\/, |, =>, <=>/<~>."""
-
-    def __init__(self, text: str):
-        self.tokens = _tokenize(text)
-        self.i = 0
-
-    def peek(self):
-        return self.tokens[self.i]
-
-    def take(self, kind: str):
-        tok = self.tokens[self.i]
-        if tok[0] != kind:
-            raise ParseError("unexpected %r" % (tok[1] or _EOF), tok[2],
-                             frozenset({kind}))
-        self.i += 1
-        return tok
-
-    def parse(self) -> Formula:
-        f = self.equiv_level()
-        tok = self.peek()
-        if tok[0] != "eof":
-            raise ParseError("trailing input %r" % tok[1], tok[2], frozenset({_EOF}))
-        return f
-
-    def equiv_level(self) -> Formula:
-        f = self.impl_level()
-        while self.peek()[0] in ("equiv", "inequiv"):
-            kind = self.take(self.peek()[0])[0]
-            g = self.impl_level()
-            f = Equiv(f, g) if kind == "equiv" else Inequiv(f, g)
-        return f
-
-    def impl_level(self) -> Formula:
-        f = self.nand_level()
-        if self.peek()[0] == "impl":           # right-associative
-            self.take("impl")
-            return Impl(f, self.impl_level())
-        return f
-
-    def nand_level(self) -> Formula:
-        f = self.join_level()
-        while self.peek()[0] == "nand":
-            self.take("nand")
-            f = Nand(f, self.join_level())
-        return f
-
-    def join_level(self) -> Formula:
-        f = self.meet_level()
-        while self.peek()[0] == "join":
-            self.take("join")
-            f = Join(f, self.meet_level())
-        return f
-
-    def meet_level(self) -> Formula:
-        f = self.unary_level()
-        while self.peek()[0] == "meet":
-            self.take("meet")
-            f = Meet(f, self.unary_level())
-        return f
-
-    def unary_level(self) -> Formula:
-        if self.peek()[0] == "neg":
-            self.take("neg")
-            return Not(self.unary_level())
-        return self.primary()
-
-    def primary(self) -> Formula:
-        kind, text, pos = self.peek()
-        if kind == "atom":
-            self.take("atom")
-            return Atom(text)
-        if kind == "zero":
-            self.take("zero")
-            return ZERO
-        if kind == "one":
-            self.take("one")
-            return ONE
-        if kind == "lparen":
-            self.take("lparen")
-            f = self.equiv_level()
-            self.take("rparen")
-            return f
-        raise ParseError("unexpected %r" % (text or _EOF), pos,
-                         frozenset({"atom", "0", "1", "(", "~"}))
+# token kind -> (symbol, level, constructor, associativity); a smaller level
+# binds tighter: ~, /\, \/, |, =>, then <=> and <~>
+_OPERATORS = {
+    "neg": ("~", 1, Not, "prefix"),
+    "meet": ("/\\", 2, Meet, "left"),
+    "join": ("\\/", 3, Join, "left"),
+    "nand": ("|", 4, Nand, "left"),
+    "impl": ("=>", 5, Impl, "right"),
+    "equiv": ("<=>", 6, Equiv, "left"),
+    "inequiv": ("<~>", 6, Inequiv, "left"),
+}
+_CLOSE = 7                          # ")" and the end apply every open operator
+_OPEN = (None, 8, None, None)       # "(" on the operator stack: nothing reduces past it
+_CONSTANTS = {"zero": ZERO, "one": ONE}
+_OPERAND_START = frozenset({"atom", "0", "1", "(", "~"})
 
 
 def parse(text: str) -> Formula:
-    """Parse the ASCII surface syntax; derived connectives survive as AST nodes."""
-    return _Parser(text).parse()
+    """Parse the ASCII surface syntax; derived connectives survive as AST nodes.
+
+    One precedence-climbing loop over an operand stack and an operator stack.
+    """
+    operands: list[Formula] = []
+    pending: list[tuple] = []       # operators and "(" not yet applied
+    depth = 0                       # open parentheses
+    want_operand = True
+
+    def reduce(level: int, assoc: str) -> None:
+        # apply the stacked operators that bind tighter than the incoming one
+        while pending and (pending[-1][1] < level
+                           or pending[-1][1] == level and assoc == "left"):
+            _, _, make, arity = pending.pop()
+            if arity == "prefix":
+                operands[-1] = make(operands[-1])
+            else:
+                right = operands.pop()
+                operands[-1] = make(operands[-1], right)
+
+    for kind, tok, pos in _tokenize(text):
+        if want_operand:
+            if kind == "atom" or kind in _CONSTANTS:
+                operands.append(Atom(tok) if kind == "atom" else _CONSTANTS[kind])
+                want_operand = False
+            elif kind == "neg":
+                pending.append(_OPERATORS[kind])
+            elif kind == "lparen":
+                pending.append(_OPEN)
+                depth += 1
+            else:
+                raise ParseError("unexpected %r" % (tok or _EOF), pos, _OPERAND_START)
+        elif kind in _OPERATORS and kind != "neg":
+            op = _OPERATORS[kind]
+            reduce(op[1], op[3])
+            pending.append(op)
+            want_operand = True
+        elif kind == "rparen" and depth:
+            reduce(_CLOSE, "left")
+            pending.pop()
+            depth -= 1
+        elif kind == "eof" and not depth:
+            break
+        elif depth:
+            raise ParseError("unexpected %r" % (tok or _EOF), pos, frozenset({"rparen"}))
+        else:
+            raise ParseError("trailing input %r" % tok, pos, frozenset({_EOF}))
+    reduce(_CLOSE, "left")
+    return operands[0]
 
 
-_LEVEL = {Atom: 0, Zero: 0, One: 0, Not: 1, Meet: 2, Join: 3, Nand: 4,
-          Impl: 5, Equiv: 6, Inequiv: 6}
-_INFIX = {Meet: "/\\", Join: "\\/", Nand: "|", Impl: "=>",
-          Equiv: "<=>", Inequiv: "<~>"}
+def _print(f, pieces) -> str:
+    """Print on an explicit stack.  pieces(g) is a leaf's text, or g's output
+    as (text, child) pairs, each child (if not None) printed right after its
+    text; the text is joined once, so printing is linear."""
+    out: list[str] = []
+    stack: list = [("", f)]
+    while stack:
+        text, g = stack.pop()
+        out.append(text)
+        if g is not None:
+            p = pieces(g)
+            if type(p) is str:
+                out.append(p)
+            else:
+                stack += reversed(p)
+    return "".join(out)
+
+
+def _infix(left, symbol: str, right, left_parens: bool, right_parens: bool) -> tuple:
+    middle = "%s %s %s" % (")" if left_parens else "", symbol,
+                           "(" if right_parens else "")
+    return (("(" if left_parens else "", left), (middle, right),
+            (")" if right_parens else "", None))
+
+
+_SYNTAX = {make: (symbol, level, assoc)
+           for symbol, level, make, assoc in _OPERATORS.values()}
+_LEVEL = {make: level for _, level, make, _ in _OPERATORS.values()}   # leaves: 0
+
+
+def _text_pieces(g):
+    kind = type(g)
+    if kind is Atom:
+        return g.name
+    if kind is Zero or kind is One:
+        return "0" if kind is Zero else "1"
+    if kind not in _SYNTAX:
+        raise ValueError("%s has no concrete syntax; desugar first" % kind.__name__)
+    symbol, level, assoc = _SYNTAX[kind]
+    if assoc == "prefix":
+        parens = _LEVEL.get(type(g.operand), 0) > level
+        return ((symbol + "(" if parens else symbol, g.operand),
+                (")" if parens else "", None))
+    ll, rl = _LEVEL.get(type(g.left), 0), _LEVEL.get(type(g.right), 0)
+    return _infix(g.left, symbol, g.right,
+                  ll > level or (assoc == "right" and ll == level),
+                  rl > level or (assoc == "left" and rl == level))
 
 
 def to_text(f: Formula) -> str:
@@ -266,34 +299,45 @@ def to_text(f: Formula) -> str:
     Nor and Diff have no concrete syntax (they are programmatic constructors
     only) and are rejected here; desugar them first.
     """
-    kind = type(f)
-    if kind is Atom:
-        return f.name
-    if kind is Zero:
-        return "0"
-    if kind is One:
-        return "1"
+    return _print(f, _text_pieces)
+
+
+# ---------------------------------------------------------------------------
+# Desugaring: the fold, lowering, and the interpreter
+# ---------------------------------------------------------------------------
+
+def _children(g) -> tuple:
+    """The operands of a formula or dual formula node, left to right."""
+    kind = type(g)
+    if kind in _BINARY or kind in _DUAL_BINARY:
+        return (g.left, g.right)
     if kind is Not:
-        inner = to_text(f.operand)
-        if _LEVEL[type(f.operand)] > 1:
-            inner = "(" + inner + ")"
-        return "~" + inner
-    if kind in _INFIX:
-        level = _LEVEL[kind]
-        right_assoc = kind is Impl
-        lt, rt = to_text(f.left), to_text(f.right)
-        ll, rl = _LEVEL[type(f.left)], _LEVEL[type(f.right)]
-        if ll > level or (right_assoc and ll == level):
-            lt = "(" + lt + ")"
-        if rl > level or (not right_assoc and rl == level):
-            rt = "(" + rt + ")"
-        return "%s %s %s" % (lt, _INFIX[kind], rt)
-    raise ValueError("%s has no concrete syntax; desugar first" % kind.__name__)
+        return (g.operand,)
+    return ()
 
 
-# ---------------------------------------------------------------------------
-# Desugaring
-# ---------------------------------------------------------------------------
+def _fold(root, children, combine):
+    """Post-order fold on an explicit stack.
+
+    The value of a node is combine(node, [values of children(node)]); it is
+    computed once per distinct object (memo by id, as every node stays
+    reachable from root), so a shared subtree is visited once.
+    """
+    done: dict[int, object] = {}
+    stack: list = [(root, None)]
+    while stack:
+        node, kids = stack.pop()
+        if kids is None:
+            if id(node) in done:
+                continue
+            kids = children(node)
+            if kids:
+                stack.append((node, kids))
+                stack += [(k, None) for k in reversed(kids)]
+                continue
+        done[id(node)] = combine(node, [done[id(k)] for k in kids])
+    return done[id(root)]
+
 
 # the derived connectives as programs over their operands' instructions a, b
 _DERIVED = {
@@ -304,6 +348,11 @@ _DERIVED = {
     # Diff(s, t) is "t minus s", the converse non-implication t /\ ~s
     Diff: lambda emit, a, b: emit(Meet, b, emit(Impl, a, emit(Zero))),
 }
+
+
+def _desugared_order(g) -> tuple:
+    # Diff(s, t) desugars with t first
+    return (g.right, g.left) if type(g) is Diff else _children(g)
 
 
 def lower(f: Formula) -> tuple[tuple, ...]:
@@ -317,66 +366,60 @@ def lower(f: Formula) -> tuple[tuple, ...]:
     desugared formula's order, so atoms come out left to right.
     """
     index: dict[tuple, int] = {}        # instruction -> position, in order
-    done: dict[int, int] = {}           # id(node) -> its instruction
 
     def emit(op, x=None, y=None) -> int:
         return index.setdefault((op, x, y), len(index))
 
-    stack: list[tuple[Formula, bool]] = [(f, False)]
-    while stack:
-        g, expanded = stack.pop()
-        if id(g) in done:
-            continue
+    def step(g, kids) -> int:
         kind = type(g)
         if kind is Atom:
-            i = emit(Atom, g.name)
-        elif kind is Zero or kind is One:
-            i = emit(kind)
-        elif not expanded:
-            stack.append((g, True))
-            if kind is Not:
-                stack.append((g.operand, False))
-            elif kind not in _BINARY:
-                raise TypeError("not a Formula: %r" % (g,))
-            else:                       # Diff(s, t) desugars with t first
-                first, second = (g.right, g.left) if kind is Diff else (g.left, g.right)
-                stack += ((second, False), (first, False))
-            continue
-        elif kind is Not:
-            i = emit(Impl, done[id(g.operand)], emit(Zero))
-        else:
-            a, b = done[id(g.left)], done[id(g.right)]
-            rule = _DERIVED.get(kind)
-            i = rule(emit, a, b) if rule else emit(kind, a, b)
-        done[id(g)] = i
+            return emit(Atom, g.name)
+        if kind is Zero or kind is One:
+            return emit(kind)
+        if kind is Not:
+            return emit(Impl, kids[0], emit(Zero))
+        if kind is Diff:
+            return _DERIVED[Diff](emit, kids[1], kids[0])
+        if kind not in _BINARY:
+            raise TypeError("not a Formula: %r" % (g,))
+        rule = _DERIVED.get(kind)
+        return rule(emit, *kids) if rule else emit(kind, *kids)
+
+    _fold(f, _desugared_order, step)
     return tuple(index)
+
+
+def _run(code, atom, zero, one, ops):
+    """Run a program from lower() in one algebra: atom maps a name to its
+    value, zero and one are the values of the constants, and ops maps each
+    primitive connective to a binary operation.  Returns the root's value."""
+    vals: list = []
+    push = vals.append
+    for op, x, y in code:
+        if op is Atom:
+            push(atom(x))
+        elif op is Zero:
+            push(zero)
+        elif op is One:
+            push(one)
+        else:
+            push(ops[op](vals[x], vals[y]))
+    return vals[-1]
+
+
+_PRIMITIVE_OPS = {Join: Join, Meet: Meet, Impl: Impl, Nand: Nand}
 
 
 def desugar(f: Formula) -> Formula:
     """Rewrite derived connectives into the four primitives and constants,
-    by rebuilding lower(f); equal subformulas come out as one object."""
-    nodes: list[Formula] = []
-    for op, x, y in lower(f):
-        nodes.append(Atom(x) if op is Atom else
-                     op() if x is None else op(nodes[x], nodes[y]))
-    return nodes[-1]
+    by running lower(f) with the constructors; equal subformulas come out as
+    one object."""
+    return _run(lower(f), Atom, ZERO, ONE, _PRIMITIVE_OPS)
 
 
 def is_desugared(f: Formula) -> bool:
-    """True iff f is built from atoms, 0, 1 and the four primitives only.
-
-    An explicit-stack walk that visits each shared subtree once."""
-    stack, seen = [f], set()
-    while stack:
-        g = stack.pop()
-        if id(g) in seen:
-            continue
-        seen.add(id(g))
-        if isinstance(g, (Join, Meet, Impl, Nand)):
-            stack += (g.left, g.right)
-        elif not isinstance(g, (Atom, Zero, One)):
-            return False
-    return True
+    """True iff f is built from atoms, 0, 1 and the four primitives only."""
+    return _fold(f, _children, lambda g, kids: type(g) in _PRIMITIVE and all(kids))
 
 
 def atoms_of(f: Formula) -> set[str]:
@@ -384,32 +427,32 @@ def atoms_of(f: Formula) -> set[str]:
 
 
 def subformulas(f: Formula) -> list[Formula]:
-    """Unique subformulas in deterministic post-order (children first)."""
-    seen: dict[Formula, None] = {}
+    """Unique subformulas in deterministic post-order (children first).
 
-    def walk(g: Formula):
-        match g:
-            case Not(a):
-                walk(a)
-            case _ if isinstance(g, _BINARY):
-                walk(g.left)
-                walk(g.right)
-        seen.setdefault(g)
+    Equal subformulas are found by the flat key (type, child indices), as in
+    lower, so no tree is hashed; the first one met is kept."""
+    index: dict[tuple, int] = {}
+    out: list[Formula] = []
 
-    walk(f)
-    return list(seen)
+    def number(g, kids) -> int:
+        key = (Atom, g.name) if type(g) is Atom else (type(g), *kids)
+        if key not in index:
+            index[key] = len(out)
+            out.append(g)
+        return index[key]
+
+    _fold(f, _children, number)
+    return out
 
 
 def complexity(f: Formula) -> int:
     """Total AST node count (duplicates included)."""
-    match f:
-        case Atom() | Zero() | One():
-            return 1
-        case Not(a):
-            return 1 + complexity(a)
-        case _ if isinstance(f, _BINARY):
-            return 1 + complexity(f.left) + complexity(f.right)
-    raise TypeError("not a Formula: %r" % (f,))
+    def count(g, kids) -> int:
+        if not isinstance(g, Formula):
+            raise TypeError("not a Formula: %r" % (g,))
+        return 1 + sum(kids)
+
+    return _fold(f, _children, count)
 
 
 # ---------------------------------------------------------------------------
@@ -466,50 +509,48 @@ class DNor(DualFormula):
 DTOP = DTop()
 DBOTTOM = DBottom()
 
+_DUAL_INFIX = {DMeet: "/\\", DJoin: "\\/", DNor: "!|", DDiff: "-"}
+_DUAL_BINARY = frozenset(_DUAL_INFIX)
+
+# each primitive and its dual; (f => g) dualizes to g^d - f^d
+_TO_DUAL = {Join: DMeet, Meet: DJoin, Impl: lambda a, b: DDiff(b, a), Nand: DNor}
+_FROM_DUAL = {DMeet: Join, DJoin: Meet, DDiff: lambda a, b: Impl(b, a), DNor: Nand}
+
 
 def dualize(f: Formula) -> DualFormula:
     """Swap 0/1, meet/join, implication/difference, nand/nor; superscript atoms.
 
     Requires a desugared formula.  (f => g) dualizes to g^d - f^d.
     """
-    match f:
-        case Atom(name):
-            return DAtom(name)
-        case Zero():
-            return DTOP
-        case One():
-            return DBOTTOM
-        case Join(a, b):
-            return DMeet(dualize(a), dualize(b))
-        case Meet(a, b):
-            return DJoin(dualize(a), dualize(b))
-        case Impl(a, b):
-            return DDiff(dualize(b), dualize(a))
-        case Nand(a, b):
-            return DNor(dualize(a), dualize(b))
-    raise ValueError("dualize requires a desugared formula, got %r" % (f,))
+    if not is_desugared(f):
+        raise ValueError("dualize requires a desugared formula")
+    return _run(lower(f), DAtom, DTOP, DBOTTOM, _TO_DUAL)
 
 
 def dualize_back(d: DualFormula) -> Formula:
-    match d:
-        case DAtom(name):
-            return Atom(name)
-        case DTop():
+    def undual(g, kids) -> Formula:
+        kind = type(g)
+        if kind is DAtom:
+            return Atom(g.name)
+        if kind is DTop:
             return ZERO
-        case DBottom():
+        if kind is DBottom:
             return ONE
-        case DMeet(a, b):
-            return Join(dualize_back(a), dualize_back(b))
-        case DJoin(a, b):
-            return Meet(dualize_back(a), dualize_back(b))
-        case DDiff(a, b):
-            return Impl(dualize_back(b), dualize_back(a))
-        case DNor(a, b):
-            return Nand(dualize_back(a), dualize_back(b))
-    raise TypeError("not a DualFormula: %r" % (d,))
+        if kind not in _FROM_DUAL:
+            raise TypeError("not a DualFormula: %r" % (g,))
+        return _FROM_DUAL[kind](*kids)
+
+    return _fold(d, _children, undual)
 
 
-_DUAL_INFIX = {DMeet: "/\\", DJoin: "\\/", DNor: "!|", DDiff: "-"}
+def _dual_pieces(d):
+    kind = type(d)
+    if kind is DAtom:
+        return d.name + "^d"
+    if kind is DTop or kind is DBottom:
+        return "1^" if kind is DTop else "0^"
+    return _infix(d.left, _DUAL_INFIX[kind], d.right,
+                  type(d.left) in _DUAL_BINARY, type(d.right) in _DUAL_BINARY)
 
 
 def dual_to_text(d: DualFormula) -> str:
@@ -518,19 +559,7 @@ def dual_to_text(d: DualFormula) -> str:
     Display-only (there is no dual parser), so compound operands are always
     parenthesized rather than relying on a precedence convention.
     """
-    kind = type(d)
-    if kind is DAtom:
-        return d.name + "^d"
-    if kind is DTop:
-        return "1^"
-    if kind is DBottom:
-        return "0^"
-    lt, rt = dual_to_text(d.left), dual_to_text(d.right)
-    if type(d.left) in _DUAL_INFIX:
-        lt = "(" + lt + ")"
-    if type(d.right) in _DUAL_INFIX:
-        rt = "(" + rt + ")"
-    return "%s %s %s" % (lt, _DUAL_INFIX[kind], rt)
+    return _print(d, _dual_pieces)
 
 
 # ---------------------------------------------------------------------------
@@ -663,55 +692,35 @@ def dnf_dual_of(op: OpCode) -> DualFormula:
 # Transforms of subset tautologies (single/double pi-negation, Goedel)
 # ---------------------------------------------------------------------------
 
-def _check_transform_input(f: Formula, pi: Formula):
+def _check_transform_input(f: Formula, pi: Formula) -> tuple[tuple, ...]:
+    """The program of f, once pi is known to be an atom or 0 and f to be
+    desugared; a program with a nand or the atom pi reports the first such
+    instruction."""
     if not (isinstance(pi, Atom) or pi == ZERO):
         raise ValueError("pi must be an Atom or the constant 0 sentinel")
-
-    def walk(g: Formula):
-        match g:
-            case Atom(name):
-                if isinstance(pi, Atom) and name == pi.name:
-                    raise AtomCollision("transform atom %r occurs in the formula" % name)
-            case Zero() | One():
-                pass
-            case Nand(_, _):
-                raise NandPresent("rewrite nand away before transforming")
-            case Join(a, b) | Meet(a, b) | Impl(a, b):
-                walk(a)
-                walk(b)
-            case _:
-                raise ValueError("transforms require a desugared formula, got %r" % (g,))
-
-    walk(f)
-
-
-def _pi_subst(f: Formula, pi: Formula, on_atom) -> Formula:
-    match f:
-        case Atom():
-            return on_atom(f)
-        case Zero():
-            return pi
-        case One():
-            return ONE
-        case Join(a, b):
-            return Join(_pi_subst(a, pi, on_atom), _pi_subst(b, pi, on_atom))
-        case Meet(a, b):
-            return Meet(_pi_subst(a, pi, on_atom), _pi_subst(b, pi, on_atom))
-        case Impl(a, b):
-            return Impl(_pi_subst(a, pi, on_atom), _pi_subst(b, pi, on_atom))
-    raise TypeError("unreachable")
+    if not is_desugared(f):
+        raise ValueError("transforms require a desugared formula")
+    code = lower(f)
+    pi_name = pi.name if isinstance(pi, Atom) else None
+    for op, x, _ in code:
+        if op is Nand:
+            raise NandPresent("rewrite nand away before transforming")
+        if op is Atom and x == pi_name:
+            raise AtomCollision("transform atom %r occurs in the formula" % x)
+    return code
 
 
 def single_pi_neg_transform(f: Formula, pi: Formula) -> Formula:
     """Replace each atom x by (x => pi) and the constant 0 by pi."""
-    _check_transform_input(f, pi)
-    return _pi_subst(f, pi, lambda a: Impl(a, pi))
+    code = _check_transform_input(f, pi)
+    return _run(code, lambda x: Impl(Atom(x), pi), pi, ONE, _PRIMITIVE_OPS)
 
 
 def double_pi_neg_transform(f: Formula, pi: Formula) -> Formula:
     """Replace each atom x by ((x => pi) => pi) and the constant 0 by pi."""
-    _check_transform_input(f, pi)
-    return _pi_subst(f, pi, lambda a: Impl(Impl(a, pi), pi))
+    code = _check_transform_input(f, pi)
+    return _run(code, lambda x: Impl(Impl(Atom(x), pi), pi), pi, ONE,
+                _PRIMITIVE_OPS)
 
 
 def godel_transform(f: Formula, pi: Formula) -> Formula:
@@ -722,28 +731,14 @@ def godel_transform(f: Formula, pi: Formula) -> Formula:
     With the pi = 0 sentinel, x \\/ 0 simplifies to x, so formulas without
     meets are left unchanged.
     """
-    _check_transform_input(f, pi)
+    code = _check_transform_input(f, pi)
 
     def neg2(g: Formula) -> Formula:
         return Impl(Impl(g, pi), pi)
 
-    def walk(g: Formula) -> Formula:
-        match g:
-            case Atom():
-                return g if pi == ZERO else Join(g, pi)
-            case Zero():
-                return pi
-            case One():
-                return ONE
-            case Join(a, b):
-                return Join(walk(a), walk(b))
-            case Impl(a, b):
-                return Impl(walk(a), walk(b))
-            case Meet(a, b):
-                return Meet(neg2(walk(a)), neg2(walk(b)))
-        raise TypeError("unreachable")
-
-    return walk(f)
+    atom = Atom if pi == ZERO else lambda x: Join(Atom(x), pi)
+    ops = {Join: Join, Impl: Impl, Meet: lambda a, b: Meet(neg2(a), neg2(b))}
+    return _run(code, atom, pi, ONE, ops)
 
 
 # ---------------------------------------------------------------------------
@@ -757,24 +752,13 @@ _NAME_OPS = {v: k for k, v in _OP_NAMES.items()}
 
 
 def formula_to_json(f: Formula) -> dict:
-    kind = type(f)
-    if kind is Atom:
-        return {"op": "atom", "args": [f.name]}
-    if kind in (Zero, One):
-        return {"op": _OP_NAMES[kind], "args": []}
-    if kind is Not:
-        return {"op": "not", "args": [formula_to_json(f.operand)]}
-    return {"op": _OP_NAMES[kind],
-            "args": [formula_to_json(f.left), formula_to_json(f.right)]}
+    return _fold(f, _children, lambda g, kids: {
+        "op": _OP_NAMES[type(g)], "args": [g.name] if type(g) is Atom else kids})
 
 
 def formula_from_json(obj: dict) -> Formula:
-    op = _NAME_OPS[obj["op"]]
-    args = obj["args"]
-    if op is Atom:
-        return Atom(args[0])
-    if op in (Zero, One):
-        return op()
-    if op is Not:
-        return Not(formula_from_json(args[0]))
-    return op(formula_from_json(args[0]), formula_from_json(args[1]))
+    def build(o, kids) -> Formula:
+        op = _NAME_OPS[o["op"]]
+        return Atom(o["args"][0]) if op is Atom else op(*kids)
+
+    return _fold(obj, lambda o: () if o["op"] == "atom" else o["args"], build)

@@ -8,7 +8,8 @@ increasing size, so the first countermodel reported is of minimal size.
 
 One interpreter, _run, executes the program of formula.lower under three
 operation tables: partitions, equivalence relations (the dual algebra, read
-through dualize_back) and truth values.  A search lowers its formula once and
+through dualize_back) and truth values.  _run now comes from formula, so only
+that module knows the program format.  A search lowers its formula once and
 runs the program once per assignment.
 """
 
@@ -25,8 +26,8 @@ from .core import (
     make_partition, top,
 )
 from .formula import (
-    Atom, DualFormula, Equiv, Formula, Impl, Join, Meet, Nand, One, Zero,
-    dualize_back, lower,
+    Atom, DualFormula, Equiv, Formula, Impl, Join, Meet, Nand,
+    _run, dualize_back, lower,
 )
 
 if TYPE_CHECKING:
@@ -71,24 +72,6 @@ class Assignment:
             return self.bindings[name]
         except KeyError:
             raise UnboundAtom(name) from None
-
-
-def _run(code, atom, zero, one, ops):
-    """Run a program from lower() in one algebra: atom maps a name to its
-    value, zero and one are the values of the constants, and ops maps each
-    primitive connective to a binary operation.  Returns the root's value."""
-    vals: list = []
-    push = vals.append
-    for op, x, y in code:
-        if op is Atom:
-            push(atom(x))
-        elif op is Zero:
-            push(zero)
-        elif op is One:
-            push(one)
-        else:
-            push(ops[op](vals[x], vals[y]))
-    return vals[-1]
 
 
 def _partition_ops() -> dict:

@@ -38,7 +38,7 @@ from .core import (
 )
 from .formula import (
     Atom, Formula, Impl, Join, Meet, Nand, One, Zero, atoms_of, desugar,
-    subformulas, to_text,
+    lower, to_text,
 )
 from .semantics import (
     Assignment, canonical_universe, check_partition_tautology, eval_formula,
@@ -291,8 +291,9 @@ class _Prover:
         self.trace.parents.append(-1)
         self.n_branches = 1
         # chains for the F-and rule never need more links than the root has
-        # subformulas (the crude upper bound for transmitting T-formulas)
-        self.max_and_chain = max(2, len(subformulas(root)))
+        # subformulas (the crude upper bound for transmitting T-formulas); the
+        # desugared root has one instruction per unique subformula
+        self.max_and_chain = max(2, len(lower(root)))
         br = Branch(root)
         self._apply(br, "root", (), [(0, 1, F, root)])
         self.root_branch = br
