@@ -7,6 +7,10 @@ desugaring.  Dual formulas mirror the primitive layer for the algebra of
 equivalence relations, with d-superscripted atoms and the operations meet,
 join, difference, and nor.
 
+Every node is interned: a constructor returns the one live node for its class
+and operands, so hashing is O(1) (the hash is computed at construction) and ==
+is identity, whatever the depth.
+
 No function here recurses, so depth costs no stack.  There are two walks, one
 interpreter, one parser loop:
 
@@ -15,7 +19,7 @@ interpreter, one parser loop:
   program; complexity, subformulas, is_desugared, dualize_back and the JSON
   pair are folds too.
 - _print, an explicit-stack printer that pushes text pieces and joins them
-  once; to_text and dual_to_text feed it.
+  once; to_text, dual_to_text and the nodes' repr feed it.
 - _run, the interpreter of lower()'s programs under a table of operations.
   Evaluation in every algebra, desugar, dualize and the transforms are runs.
 - parse, one precedence-climbing loop over operand and operator stacks, read
@@ -25,7 +29,9 @@ interpreter, one parser loop:
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+import threading
+import weakref
+from _weakref import _remove_dead_weakref
 from enum import Enum
 
 from .core import PartitionLogicError
@@ -48,85 +54,122 @@ class AtomCollision(PartitionLogicError):
 
 
 # ---------------------------------------------------------------------------
-# Formula AST
+# Formula AST: interned nodes
 # ---------------------------------------------------------------------------
 
+class _Ref(weakref.ref):        # weakref.KeyedRef without its Python __new__
+    __slots__ = ("key",)
+
+
+# (class, *operands) -> weak reference to the one live node with that key; the
+# operands are interned already, so hashing a key never walks a tree
+_NODES: dict[tuple, _Ref] = {}
+_BUILDING = threading.RLock()   # one builder at a time, so no key gets two nodes
+
+
+def _forget(ref, nodes=_NODES, remove=_remove_dead_weakref) -> None:
+    # a node died: drop its entry, unless a new node has taken the key since;
+    # bound as defaults, as a node may die after the module's globals at exit
+    remove(nodes, ref.key)
+
+
+def _intern(key: tuple):
+    """The node for key = (class, *operands): the live one if another thread
+    has just built it, else a new one, entered in the table."""
+    with _BUILDING:
+        ref = _NODES.get(key)
+        if ref is not None and (node := ref()) is not None:
+            return node
+        cls, operands = key[0], key[1:]
+        node = object.__new__(cls)
+        for name, value in zip(cls.__match_args__, operands):
+            object.__setattr__(node, name, value)
+        # the class's name, as the class's own hash changes between processes
+        object.__setattr__(node, "_hash", hash((cls.__name__, *operands)))
+        ref = _NODES[key] = _Ref(node, _forget)
+        ref.key = key
+    return node
+
+
+class _Node:
+    """An interned, immutable node, so == is identity and the hash is computed
+    once.  Each arity has its own __new__; this one is the constants'."""
+
+    __slots__ = ("_hash", "__weakref__")
+    __match_args__: tuple[str, ...] = ()
+
+    def __new__(cls):
+        ref = _NODES.get((cls,))
+        return ref and ref() or _intern((cls,))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError("cannot assign to field %r" % name)
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        # copy, deepcopy and pickle construct again, so they get this node
+        return type(self), tuple(getattr(self, f) for f in self.__match_args__)
+
+    def __repr__(self) -> str:
+        return _print(self, _repr_pieces)
+
+
+class _Named(_Node):
+    __slots__ = __match_args__ = ("name",)
+
+    def __new__(cls, name: str):
+        ref = _NODES.get((cls, name))
+        return ref and ref() or _intern((cls, name))
+
+
+class _Unary(_Node):
+    __slots__ = __match_args__ = ("operand",)
+
+    def __new__(cls, operand):
+        ref = _NODES.get((cls, operand))
+        return ref and ref() or _intern((cls, operand))
+
+
+class _Binary(_Node):
+    __slots__ = __match_args__ = ("left", "right")
+
+    def __new__(cls, left, right):
+        ref = _NODES.get((cls, left, right))
+        return ref and ref() or _intern((cls, left, right))
+
+
+def _repr_pieces(g):
+    # the dataclass repr, e.g. Impl(left=Atom(name='s'), right=One())
+    if not isinstance(g, _Node):
+        return repr(g)
+    return ([(type(g).__name__ + "(", None)]
+            + [(", " * (k > 0) + f + "=", getattr(g, f)) for k, f in enumerate(g.__match_args__)]
+            + [(")", None)])
+
+
 class Formula:
-    """Base class; all nodes are frozen dataclasses, hence hashable."""
+    """Base class of the formula nodes, which are interned (see _Node)."""
 
     __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Atom(Formula):
-    name: str
-
-
-@dataclass(frozen=True)
-class Zero(Formula):
-    pass
-
-
-@dataclass(frozen=True)
-class One(Formula):
-    pass
-
-
-@dataclass(frozen=True)
-class Join(Formula):
-    left: Formula
-    right: Formula
-
-
-@dataclass(frozen=True)
-class Meet(Formula):
-    left: Formula
-    right: Formula
-
-
-@dataclass(frozen=True)
-class Impl(Formula):
-    left: Formula   # antecedent
-    right: Formula  # consequent
-
-
-@dataclass(frozen=True)
-class Nand(Formula):
-    left: Formula
-    right: Formula
-
-
+class Atom(_Named, Formula): __slots__ = ()
+class Zero(_Node, Formula): __slots__ = ()
+class One(_Node, Formula): __slots__ = ()
+class Join(_Binary, Formula): __slots__ = ()
+class Meet(_Binary, Formula): __slots__ = ()
+class Impl(_Binary, Formula): __slots__ = ()        # left => right
+class Nand(_Binary, Formula): __slots__ = ()
 # derived surface forms, eliminated by desugar()
-
-@dataclass(frozen=True)
-class Not(Formula):
-    operand: Formula
-
-
-@dataclass(frozen=True)
-class Equiv(Formula):
-    left: Formula
-    right: Formula
-
-
-@dataclass(frozen=True)
-class Inequiv(Formula):
-    left: Formula
-    right: Formula
-
-
-@dataclass(frozen=True)
-class Nor(Formula):
-    left: Formula
-    right: Formula
-
-
-@dataclass(frozen=True)
-class Diff(Formula):
-    """Difference Diff(s, t) = "t minus s", desugaring to t /\\ ~s."""
-
-    left: Formula
-    right: Formula
+class Not(_Unary, Formula): __slots__ = ()
+class Equiv(_Binary, Formula): __slots__ = ()
+class Inequiv(_Binary, Formula): __slots__ = ()
+class Nor(_Binary, Formula): __slots__ = ()
+class Diff(_Binary, Formula): __slots__ = ()        # Diff(s, t) = "t minus s" = t /\ ~s
 
 
 ZERO = Zero()
@@ -361,9 +404,10 @@ def lower(f: Formula) -> tuple[tuple, ...]:
     Instructions are (Atom, name, None), (Zero, None, None), (One, None, None)
     or (op, i, j) for a primitive op on the values of instructions i and j;
     the last one is the root.  Equal subformulas share one instruction: the
-    key is the flat tuple (op, i, j), so no tree is hashed, and a Python
-    subtree shared inside f is lowered once.  Children are visited in the
-    desugared formula's order, so atoms come out left to right.
+    key is the flat tuple (op, i, j), as desugaring makes equal instructions
+    from unequal nodes, and an equal subtree of f is one node, lowered once.
+    Children are visited in the desugared formula's order, so atoms come out
+    left to right.
     """
     index: dict[tuple, int] = {}        # instruction -> position, in order
 
@@ -429,19 +473,9 @@ def atoms_of(f: Formula) -> set[str]:
 def subformulas(f: Formula) -> list[Formula]:
     """Unique subformulas in deterministic post-order (children first).
 
-    Equal subformulas are found by the flat key (type, child indices), as in
-    lower, so no tree is hashed; the first one met is kept."""
-    index: dict[tuple, int] = {}
+    Equal subformulas are one interned node, which _fold visits once."""
     out: list[Formula] = []
-
-    def number(g, kids) -> int:
-        key = (Atom, g.name) if type(g) is Atom else (type(g), *kids)
-        if key not in index:
-            index[key] = len(out)
-            out.append(g)
-        return index[key]
-
-    _fold(f, _children, number)
+    _fold(f, _children, lambda g, kids: out.append(g))
     return out
 
 
@@ -463,47 +497,13 @@ class DualFormula:
     __slots__ = ()
 
 
-@dataclass(frozen=True)
-class DAtom(DualFormula):
-    """Atom with the d superscript, denoting an equivalence relation indit(x)."""
-
-    name: str
-
-
-@dataclass(frozen=True)
-class DTop(DualFormula):
-    """1-hat = U x U, the dual of the constant 0."""
-
-
-@dataclass(frozen=True)
-class DBottom(DualFormula):
-    """0-hat = the diagonal, the dual of the constant 1."""
-
-
-@dataclass(frozen=True)
-class DMeet(DualFormula):
-    left: DualFormula
-    right: DualFormula
-
-
-@dataclass(frozen=True)
-class DJoin(DualFormula):
-    left: DualFormula
-    right: DualFormula
-
-
-@dataclass(frozen=True)
-class DDiff(DualFormula):
-    """Difference DDiff(a, b) = a - b (left minus right)."""
-
-    left: DualFormula
-    right: DualFormula
-
-
-@dataclass(frozen=True)
-class DNor(DualFormula):
-    left: DualFormula
-    right: DualFormula
+class DAtom(_Named, DualFormula): __slots__ = ()    # x^d, the equivalence relation indit(x)
+class DTop(_Node, DualFormula): __slots__ = ()      # 1-hat = U x U, the dual of 0
+class DBottom(_Node, DualFormula): __slots__ = ()   # 0-hat = the diagonal, the dual of 1
+class DMeet(_Binary, DualFormula): __slots__ = ()
+class DJoin(_Binary, DualFormula): __slots__ = ()
+class DDiff(_Binary, DualFormula): __slots__ = ()   # DDiff(a, b) = a - b
+class DNor(_Binary, DualFormula): __slots__ = ()
 
 
 DTOP = DTop()

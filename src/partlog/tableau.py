@@ -30,7 +30,7 @@ by Python's recursion limit.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from itertools import combinations, permutations
 
 from .core import (
@@ -84,7 +84,7 @@ class SignedStatement:
             raise ValueError("sign must be T or F")
 
     def opposite(self) -> "SignedStatement":
-        return replace(self, sign=T if self.sign == F else F)
+        return SignedStatement(self.i, self.j, T if self.sign == F else F, self.formula)
 
 
 def stmt(i: int, j: int, sign: str, formula: Formula) -> SignedStatement:

@@ -2,6 +2,8 @@
 
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -247,15 +249,22 @@ class TestUnexpectedErrorExitCode:
 class TestDeepFormula:
     DEEP = " => ".join(["s"] * 3000)
 
-    # still recursive, so these two still exit 64: json.dumps in cli._emit
-    # nests as deep as the formula's JSON, and prove hashes the formula of a
-    # SignedStatement with the recursive dataclass __hash__/__eq__
-    @pytest.mark.parametrize("command", ["parse", "prove"])
+    # json's encoders in cli._emit still recurse, and the formula's JSON
+    # nests as deep as the formula, so parse still exits 64
+    @pytest.mark.parametrize("command", ["parse"])
     def test_exits_64(self, capture, command):
         code, out, err = capture(command, self.DEEP)
         assert code == 64
         assert out == ""
         assert "nested too deeply" in err
+
+    @pytest.mark.parametrize("trace", [[], ["--trace"]], ids=["no-trace", "trace"])
+    def test_prove_runs_out_of_steps(self, capture, trace):
+        code, out, err = capture("prove", self.DEEP, "--max-steps", "50", *trace)
+        assert code == 2
+        obj = json.loads(out)
+        assert (obj["verdict"], obj["reason"]) == ("unknown", "max_steps")
+        assert err == ""
 
     def test_check_answers(self, capture):
         code, out, err = capture("check", self.DEEP)
@@ -271,7 +280,32 @@ class TestDeepFormula:
         assert out.strip() and err == ""
 
 
+# runs each argv list of argv[1] through main, in one interpreter
+RUN_ALL = """
+import json, sys
+from partlog.cli import main
+for argv in json.loads(sys.argv[1]):
+    print("exit", main(argv), flush=True)
+"""
+
+
 class TestDeterminism:
+    def test_no_output_depends_on_a_hash(self):
+        argvs = [["prove", f, "--trace", "--max-elements", "5", "--max-steps", "2000"]
+                 for f in ["(s /\\ (s => t)) => t", "((s => t) => s) => s",
+                           "(s <=> t) <=> (t <=> s)", "(s | t) => (t | s)"]]
+        argvs.append(["identities", "--max-n", "2", "--seed", "0"])
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        outs = []
+        for seed in ("0", "1"):
+            env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed)
+            proc = subprocess.run([sys.executable, "-c", RUN_ALL, json.dumps(argvs)],
+                                  env=env, capture_output=True, timeout=300)
+            assert proc.returncode == 0, proc.stderr
+            outs.append(proc.stdout)
+        assert outs[0] == outs[1]
+        assert outs[0].count(b"exit ") == 5
+
     def test_byte_stable_output(self, capture):
         a = capture("check", "((s => p) => s) => s", "--max-n", "3")
         b = capture("check", "((s => p) => s) => s", "--max-n", "3")

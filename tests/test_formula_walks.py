@@ -488,10 +488,13 @@ def low_recursion_limit():
 
 @pytest.mark.usefixtures("low_recursion_limit")
 class TestDeepFormulas:
-    """A 3000-link => chain, five times deeper than the recursion limit.
+    """A 3000-link => chain, five times deeper than the recursion limit."""
 
-    Deep trees are compared by text or by lowered program, never with ==,
-    because the dataclass __eq__ recurses."""
+    def test_hash_and_equality(self):
+        f, g = parse(DEEP), parse(DEEP)
+        assert f == g and hash(f) == hash(g)
+        assert f in {g} and f in [g] and f in {g: 1}
+        assert parse(DEEP + " => s") != f
 
     def test_parse_and_print(self):
         f = parse(DEEP)

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import sys
+import time
 from collections import Counter
 
 import pytest
@@ -194,6 +195,17 @@ class TestRecursionLimit:
             assert sys.getrecursionlimit() == 3000
         finally:
             sys.setrecursionlimit(saved)
+
+
+class TestEquivalenceChain:
+    def test_eleven_links_run_out_of_steps_quickly(self):
+        # every statement lookup hashes a formula: a hash that walks the
+        # tree takes seconds here
+        f = parse(" <=> ".join(["s"] * 12))
+        start = time.perf_counter()
+        out = prove(f, ProverConfig(4, 300))
+        assert time.perf_counter() - start < 0.5
+        assert (out.verdict, out.reason) == ("unknown", "max_steps")
 
 
 class TestTraceGolden:
