@@ -25,6 +25,13 @@ the agenda's first entry; ``Branch.pending()`` lists every entry, and a
 branch is complete exactly when nothing is pending.  Depth-first search keeps
 its open splits on an explicit stack, so the depth of a tableau is not bounded
 by Python's recursion limit.
+
+The agenda and the saturation rules read indexes that each branch keeps over
+its statements, so a step touches what changed and not every statement:
+statement ids keyed by their fields, each formula's F-graph, the formulas
+whose F-graph changed since its last F-transitivity pass, and the saturation
+and one-shot statements not yet expanded.  ``Branch.add`` is their one
+writer, and a child branch copies them with the statements.
 """
 
 from __future__ import annotations
@@ -61,27 +68,54 @@ class VerificationFailed(PartitionLogicError):
 
 
 T, F = "T", "F"
+_set = object.__setattr__
 
 
-@dataclass(frozen=True)
 class SignedStatement:
     """A signed formula at an unordered pair of distinct elements.
 
     Pairs are stored canonically with i < j; symmetry of dit and indit sets
     makes (i,j) and (j,i) the same statement, so the symmetry rules hold by
-    representation.
+    representation.  A statement is an immutable value, equal to any
+    statement with the same fields; its hash is computed once, as the prover
+    looks statements up at every step.
     """
 
-    i: int
-    j: int
-    sign: str
-    formula: Formula
+    __slots__ = ("i", "j", "sign", "formula", "_hash")
+    __match_args__ = ("i", "j", "sign", "formula")
 
-    def __post_init__(self):
-        if not self.i < self.j:
+    def __init__(self, i: int, j: int, sign: str, formula: Formula):
+        if not i < j:
             raise ValueError("statement pair must be canonical (i < j)")
-        if self.sign not in (T, F):
+        if sign not in (T, F):
             raise ValueError("sign must be T or F")
+        _set(self, "i", i)
+        _set(self, "j", j)
+        _set(self, "sign", sign)
+        _set(self, "formula", formula)
+        _set(self, "_hash", hash((i, j, sign, formula)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other):
+        if other.__class__ is not SignedStatement:
+            return NotImplemented
+        return (self._hash == other._hash and self.i == other.i
+                and self.j == other.j and self.sign == other.sign
+                and self.formula == other.formula)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError("cannot assign to field %r" % name)
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return SignedStatement, (self.i, self.j, self.sign, self.formula)
+
+    def __repr__(self) -> str:
+        return "SignedStatement(i=%r, j=%r, sign=%r, formula=%r)" % (
+            self.i, self.j, self.sign, self.formula)
 
     def opposite(self) -> "SignedStatement":
         return SignedStatement(self.i, self.j, T if self.sign == F else F, self.formula)
@@ -125,15 +159,39 @@ class ProofTrace:
     steps: list[TraceStep] = field(default_factory=list)
 
 
+_ELEMENT_INTRODUCING = (Impl, Meet, Nand)
+# one-shot T-rules: the rule name and the signs put on the left and right
+# operands, one alternative each
+_T_RULES = {Join: ("T-or", (T, T)), Impl: ("T-impl", (F, T)),
+            Nand: ("T-nand", (F, F))}
+_ONE_SHOT = {rule for rule, _ in _T_RULES.values()}
+# saturation rules: the statement's own sign goes on both operands
+_SATURATION_RULES = {(F, Join): "F-or", (T, Meet): "T-and"}
+
+
 @dataclass
 class Branch:
-    """One branch of the tableau: its statements, stage size, and done-marks.
+    """One branch of the tableau: its statements, stage size, and done-marks,
+    with indexes over the statements.
 
     ``statements`` maps each statement to its global id (insertion ordered);
-    ``processed`` marks connective statements whose one-shot rule has fired
-    ("checked once").  Structural obligations and falsifying-chain witnesses
-    are re-examined against the current stage each time the branch is touched,
-    which plays the role of the per-stage second check mark.
+    ``processed`` marks connective statements whose rule has fired ("checked
+    once").  ``add`` is the one writer of ``statements``, and it keeps these
+    indexes up to date, so the prover touches only what changed:
+
+    - ``ids``: each statement's id keyed by its fields (i, j, sign, formula),
+      so a lookup builds no statement;
+    - ``f_graphs``: per formula, in order of first appearance, the pairs of
+      its F-statements, in the order they were added;
+    - ``f_dirty``: the formulas whose F-graph changed since their last
+      F-transitivity pass.  Every other formula's F-graph is transitively
+      closed, which plays the role of the per-stage second check mark;
+    - ``unsaturated``: the F-or and T-and statements not yet expanded;
+    - ``one_shot``: the T-or, T-impl and T-nand statements not yet marked.
+
+    A branch built from a ``statements`` dict builds its indexes from it and
+    from ``processed``; ``mark`` sets a one-shot statement's done-mark, and
+    ``child`` copies the statements, the marks and the indexes.
     """
 
     root: Formula
@@ -142,6 +200,48 @@ class Branch:
     statements: dict[SignedStatement, int] = field(default_factory=dict)
     processed: set[SignedStatement] = field(default_factory=set)
     closed: bool = False
+    ids: dict[tuple[int, int, str, Formula], int] = field(
+        init=False, repr=False, compare=False)
+    f_graphs: dict[Formula, tuple[tuple[int, int], ...]] = field(
+        init=False, repr=False, compare=False)
+    f_dirty: set[Formula] = field(init=False, repr=False, compare=False)
+    unsaturated: list[SignedStatement] = field(init=False, repr=False,
+                                               compare=False)
+    one_shot: dict[SignedStatement, None] = field(init=False, repr=False,
+                                                  compare=False)
+
+    def __post_init__(self):
+        statements, self.statements = self.statements, {}
+        self.ids, self.f_graphs, self.f_dirty = {}, {}, set()
+        self.unsaturated, self.one_shot = [], {}
+        for s, sid in statements.items():
+            self.add(s, sid)
+        self.unsaturated = [s for s in self.unsaturated if s not in self.processed]
+        for s in self.processed:
+            self.one_shot.pop(s, None)
+
+    def add(self, s: SignedStatement, sid: int):
+        """Record a new statement with its id, and index it."""
+        self.statements[s] = sid
+        f = s.formula
+        self.ids[s.i, s.j, s.sign, f] = sid
+        if s.sign == F:
+            self.f_graphs[f] = self.f_graphs.get(f, ()) + ((s.i, s.j),)
+            self.f_dirty.add(f)
+        elif type(f) in _T_RULES:
+            self.one_shot[s] = None
+        if (s.sign, type(f)) in _SATURATION_RULES:
+            self.unsaturated.append(s)
+
+    def mark(self, s: SignedStatement):
+        """Mark a one-shot statement's rule as fired."""
+        self.processed.add(s)
+        self.one_shot.pop(s, None)
+
+    def f_components(self, f: Formula) -> tuple[int, ...]:
+        """The components (an RGS) of the graph of pairs that f's
+        F-statements connect."""
+        return _components(self.n_elements, self.f_graphs.get(f, ()))
 
     def element_names(self) -> tuple[str, ...]:
         return tuple("u%d" % k for k in range(self.n_elements))
@@ -152,11 +252,17 @@ class Branch:
             return sign == T
         if isinstance(f, Zero):
             return sign == F
-        return stmt(i, j, sign, f) in self.statements
+        return ((i, j, sign, f) if i < j else (j, i, sign, f)) in self.ids
 
     def child(self, new_id: int) -> "Branch":
-        return Branch(self.root, new_id, self.n_elements,
-                      dict(self.statements), set(self.processed), self.closed)
+        # the graphs' tuples are never written in place, so they are shared
+        c = object.__new__(Branch)
+        c.__dict__.update(
+            self.__dict__, id=new_id, statements=dict(self.statements),
+            processed=set(self.processed), ids=dict(self.ids),
+            f_graphs=dict(self.f_graphs), f_dirty=set(self.f_dirty),
+            unsaturated=list(self.unsaturated), one_shot=dict(self.one_shot))
+        return c
 
     def pending(self) -> list[tuple[str, SignedStatement]]:
         """The worklist: rule applications still owed at the current stage.
@@ -186,16 +292,6 @@ class _StepsExceeded(Exception):
     pass
 
 
-_ELEMENT_INTRODUCING = (Impl, Meet, Nand)
-# one-shot T-rules: the rule name and the signs put on the left and right
-# operands, one alternative each
-_T_RULES = {Join: ("T-or", (T, T)), Impl: ("T-impl", (F, T)),
-            Nand: ("T-nand", (F, F))}
-_ONE_SHOT = {rule for rule, _ in _T_RULES.values()}
-# saturation rules: the statement's own sign goes on both operands
-_SATURATION_RULES = {(F, Join): "F-or", (T, Meet): "T-and"}
-
-
 def _both_operands(s: SignedStatement):
     return [(s.i, s.j, s.sign, s.formula.left), (s.i, s.j, s.sign, s.formula.right)]
 
@@ -210,15 +306,14 @@ def _agenda(br: Branch):
     chains carry ``None``: their alternatives depend on the element budget,
     and the prover builds them (``_Prover._f_alternatives``).
     """
-    for s in br.statements:
-        if s.sign == T and s not in br.processed and type(s.formula) in _T_RULES:
-            rule, signs = _T_RULES[type(s.formula)]
-            alts = [[(s.i, s.j, sign, g)]
-                    for sign, g in zip(signs, (s.formula.left, s.formula.right))]
-            if any(br.holds(*alt[0]) for alt in alts):
-                yield "check", s, []
-            else:
-                yield rule, s, alts
+    for s in br.one_shot:
+        rule, signs = _T_RULES[type(s.formula)]
+        alts = [[(s.i, s.j, sign, g)]
+                for sign, g in zip(signs, (s.formula.left, s.formula.right))]
+        if any(br.holds(*alt[0]) for alt in alts):
+            yield "check", s, []
+        else:
+            yield rule, s, alts
     for s in br.statements:
         if s.sign == T:
             f = s.formula
@@ -232,38 +327,32 @@ def _agenda(br: Branch):
         if (s.sign == F and isinstance(s.formula, _ELEMENT_INTRODUCING)
                 and not statement_witnessed(br, s)):
             yield "falsifying-chain", s, None
-    for s in br.statements:
-        rule = _SATURATION_RULES.get((s.sign, type(s.formula)))
-        if rule is not None:
-            additions = _both_operands(s)
-            if not all(br.holds(*a) for a in additions):
-                yield rule, s, [additions]
-    for f, (_, comp) in _f_graphs(br).items():
-        for i, j in _f_gaps(br, f, comp):
+    for s in br.unsaturated:
+        additions = _both_operands(s)
+        if not all(br.holds(*a) for a in additions):
+            yield _SATURATION_RULES[s.sign, type(s.formula)], s, [additions]
+    for f in _dirty_formulas(br):
+        for i, j in _f_gaps(br, f):
             yield "F-transitivity", stmt(i, j, F, f), [[(i, j, F, f)]]
 
 
-def _f_graphs(br: Branch):
-    """Per formula, in order of first appearance: its F-statements and the
-    components (an RGS) of the graph of pairs they connect."""
-    by_formula: dict[Formula, list[SignedStatement]] = {}
-    for s in br.statements:
-        if s.sign == F:
-            by_formula.setdefault(s.formula, []).append(s)
-    return {f: (stmts, _components(br.n_elements, [(s.i, s.j) for s in stmts]))
-            for f, stmts in by_formula.items()}
+def _dirty_formulas(br: Branch) -> list[Formula]:
+    """The formulas whose F-graph may lack transitive links, in order of
+    first appearance."""
+    return [f for f in br.f_graphs if f in br.f_dirty]
 
 
-def _f_gaps(br: Branch, f: Formula, comp):
+def _f_gaps(br: Branch, f: Formula):
     """Pairs inside one component of f's F-graph that lack the F-statement,
     component by component."""
+    present = set(br.f_graphs[f])
     blocks: dict[int, list[int]] = {}
-    for k, c in enumerate(comp):
+    for k, c in enumerate(br.f_components(f)):
         blocks.setdefault(c, []).append(k)
     for members in blocks.values():
-        for i, j in combinations(members, 2):
-            if stmt(i, j, F, f) not in br.statements:
-                yield i, j
+        for pair in combinations(members, 2):
+            if pair not in present:
+                yield pair
 
 
 @dataclass
@@ -331,11 +420,11 @@ class _Prover:
                 continue
             sid = len(self.trace.statements)
             self.trace.statements.append((s, br.id))
-            br.statements[s] = sid
+            br.add(s, sid)
             new_ids.append(sid)
-            twin = s.opposite()
-            if twin in br.statements:
-                closing = (br.statements[twin], sid)
+            twin = br.ids.get((s.i, s.j, T if sign == F else F, f))
+            if twin is not None:
+                closing = (twin, sid)
         if new_ids or closing is not None:
             self.trace.steps.append(TraceStep(rule, premises, tuple(new_ids), br.id))
         if closing is not None and not br.closed:
@@ -350,13 +439,14 @@ class _Prover:
         changed = True
         while changed and not br.closed:
             changed = False
-            for s, sid in list(br.statements.items()):
-                rule = _SATURATION_RULES.get((s.sign, type(s.formula)))
-                if rule is None or s in br.processed:
-                    continue
+            # statements the pass adds wait for the next pass
+            batch, br.unsaturated = br.unsaturated, []
+            for k, s in enumerate(batch):
                 br.processed.add(s)
-                changed |= self._apply(br, rule, (sid,), _both_operands(s))
+                changed |= self._apply(br, _SATURATION_RULES[s.sign, type(s.formula)],
+                                       (br.statements[s],), _both_operands(s))
                 if br.closed:
+                    br.unsaturated[:0] = batch[k + 1:]
                     return True
             changed |= self._f_transitivity(br)
         if not br.closed and self.cfg.use_branch_closing_lemma:
@@ -364,22 +454,27 @@ class _Prover:
         return br.closed
 
     def _f_transitivity(self, br: Branch) -> bool:
+        """Close each changed F-graph under transitivity; the additions of
+        one pass only touch that formula's graph."""
         changed = False
-        for f, (stmts, comp) in _f_graphs(br).items():
-            additions = [(i, j, F, f) for i, j in _f_gaps(br, f, comp)]
+        for f in _dirty_formulas(br):
+            additions = [(i, j, F, f) for i, j in _f_gaps(br, f)]
             if additions:
-                premises = tuple(br.statements[s] for s in stmts)
+                premises = tuple(br.ids[i, j, F, f] for i, j in br.f_graphs[f])
                 changed |= self._apply(br, "F-transitivity", premises, additions)
-                if br.closed:
-                    return True
+            br.f_dirty.discard(f)
+            if br.closed:
+                return True
         return changed
 
     def _lemma_close(self, br: Branch):
         """Branch-closing lemma: T-tau and T(tau=>pi) on F-pi-connected links
-        that both carry F-pi force a link with all three, which contradicts."""
+        that both carry F-pi force a link with all three, which contradicts.
+
+        Saturation leaves every F-graph transitively closed, so F-pi-connected
+        elements are equal or carry F-pi themselves."""
         t_stmts = [s for s in br.statements if s.sign == T]
         impls = [s for s in t_stmts if isinstance(s.formula, Impl)]
-        graphs = None
         for s2 in impls:
             tau, pi = s2.formula.left, s2.formula.right
             if not br.holds(s2.i, s2.j, F, pi):
@@ -387,13 +482,8 @@ class _Prover:
             for s1 in t_stmts:
                 if s1.formula != tau or not br.holds(s1.i, s1.j, F, pi):
                     continue
-                # F0 holds everywhere, so its graph is one component
-                if not isinstance(pi, Zero):
-                    if graphs is None:
-                        graphs = _f_graphs(br)
-                    comp = graphs[pi][1]
-                    if comp[s1.i] != comp[s2.i]:
-                        continue
+                if s1.i != s2.i and not br.holds(s1.i, s2.i, F, pi):
+                    continue
                 br.closed = True
                 self.trace.steps.append(TraceStep(
                     "lemma-close",
@@ -437,7 +527,7 @@ class _Prover:
             if rule is None:
                 return "open"
             if rule == "check":
-                br.processed.add(s)
+                br.mark(s)
                 continue
             truncated = False
             if alts is None:
@@ -452,7 +542,7 @@ class _Prover:
         for additions in split.alternatives:
             child = self._new_branch(split.branch)
             if split.mark is not None:
-                child.processed.add(split.mark)
+                child.mark(split.mark)
             fresh = {k for (i, j, _, _) in additions for k in (i, j)
                      if k >= child.n_elements}
             child.n_elements += len(fresh)
@@ -655,9 +745,7 @@ def extract_model(br: Branch) -> Assignment:
     if not branch_is_complete(br):
         raise BranchIncomplete("branch still has pending rule applications")
     universe = canonical_universe(br.n_elements)
-    graphs = _f_graphs(br)
-    discrete = ((), tuple(range(br.n_elements)))
-    bindings = {name: Partition(universe, graphs.get(Atom(name), discrete)[1])
+    bindings = {name: Partition(universe, br.f_components(Atom(name)))
                 for name in sorted(atoms_of(br.root))}
     return Assignment(universe, bindings)
 
@@ -735,10 +823,14 @@ def verify_outcome(f: Formula, outcome: ProverOutcome) -> bool:
 # ---------------------------------------------------------------------------
 
 def trace_to_json(trace: ProofTrace) -> dict:
+    # many statements share a formula: print each distinct one once
+    texts: dict[Formula, str] = {}
     return {
         "statements": [
             {"id": k, "branch": b, "pair": ["u%d" % s.i, "u%d" % s.j],
-             "sign": s.sign, "formula": to_text(s.formula)}
+             "sign": s.sign,
+             "formula": texts.get(s.formula) or texts.setdefault(
+                 s.formula, to_text(s.formula))}
             for k, (s, b) in enumerate(trace.statements)],
         "branches": [{"id": k, "parent": p} for k, p in enumerate(trace.parents)],
         "steps": [{"rule": st.rule, "premises": list(st.premises),

@@ -8,16 +8,17 @@ from collections import Counter
 
 import pytest
 
-from partlog.core import top
+from partlog.core import _components, top
 from partlog.corpus import formula_corpus
 from partlog.formula import Atom, desugar, parse, subformulas
 from partlog.semantics import (
     Assignment, canonical_universe, check_partition_tautology, eval_formula,
 )
 from partlog.tableau import (
-    Branch, BranchClosed, BranchIncomplete, ProofTrace, ProverConfig,
-    ProverOutcome, SignedStatement, extract_model, outcome_to_json, prove,
-    replay_trace, stmt, trace_to_json, verify_outcome, VerificationFailed,
+    F, Branch, BranchClosed, BranchIncomplete, ProofTrace, ProverConfig,
+    ProverOutcome, SignedStatement, _Prover, extract_model, outcome_to_json,
+    prove, replay_trace, stmt, trace_to_json, verify_outcome,
+    VerificationFailed,
 )
 
 MODUS_PONENS = parse("(s /\\ (s => p)) => p")
@@ -168,8 +169,8 @@ class TestWorklist:
         owed = br.pending()
         assert ("F-or", stmt(0, 1, "F", root)) in owed
         s, t = Atom("s"), Atom("t")
-        br.statements[stmt(0, 1, "F", s)] = 1
-        br.statements[stmt(0, 1, "F", t)] = 2
+        br.add(stmt(0, 1, "F", s), 1)
+        br.add(stmt(0, 1, "F", t), 2)
         assert br.pending() == []
 
     def test_pending_flags_unwitnessed_falsifying_chains(self):
@@ -183,6 +184,50 @@ class TestWorklist:
         br = Branch(root=f, n_elements=2,
                     statements={stmt(0, 1, "T", f): 0})
         assert br.pending() == [("T-or", stmt(0, 1, "T", f))]
+
+
+class TestBranchIndexes:
+    """The prover's incremental branch indexes against the same indexes
+    recomputed from the branch's statements, on every branch it develops."""
+
+    @staticmethod
+    def check(br):
+        graphs = {}
+        for s in br.statements:
+            if s.sign == F:
+                graphs.setdefault(s.formula, []).append((s.i, s.j))
+        assert {f: list(p) for f, p in br.f_graphs.items()} == graphs
+        assert list(br.f_graphs) == list(graphs)   # first appearance
+        assert br.ids == {(s.i, s.j, s.sign, s.formula): sid
+                          for s, sid in br.statements.items()}
+        for f, pairs in graphs.items():
+            comp = _components(br.n_elements, pairs)
+            assert br.f_components(f) == comp
+            if f not in br.f_dirty:
+                # a clean F-graph is transitively closed
+                blocks = Counter(comp)
+                assert len(pairs) == sum(m * (m - 1) // 2 for m in blocks.values())
+        rebuilt = Branch(br.root, br.id, br.n_elements, dict(br.statements),
+                         set(br.processed), br.closed)
+        assert rebuilt.unsaturated == br.unsaturated
+        assert list(rebuilt.one_shot) == list(br.one_shot)
+        assert rebuilt.pending() == br.pending()
+
+    def test_indexes_match_a_rebuild_on_every_developed_branch(self, monkeypatch):
+        develop = _Prover._develop
+        seen = Counter()
+
+        def checked(prover, br):
+            self.check(br)
+            result = develop(prover, br)
+            self.check(br)
+            seen[result if isinstance(result, str) else "split"] += 1
+            return result
+
+        monkeypatch.setattr(_Prover, "_develop", checked)
+        for f in formula_corpus(seed=5, count=40, max_depth=3):
+            prove(f, ProverConfig(max_elements=5, max_steps=2000))
+        assert seen["split"] and seen["closed"] and seen["open"]
 
 
 class TestRecursionLimit:
@@ -227,6 +272,28 @@ class TestTraceGolden:
                 digest.update(json.dumps(outcome_to_json(out, include_trace=True),
                                          sort_keys=True).encode())
         assert verdicts == {"proved": 6, "countermodel": 44, "unknown": 10}
+        assert digest.hexdigest() == self.DIGEST
+
+
+class TestDepthFourCorpusGolden:
+    """The bytes of ``prove --trace`` JSON on depth-4 formulas under a larger
+    step budget: long developments, where the branch indexes see many
+    statements and stages."""
+
+    DIGEST = "101229a07948daf5b43c276e71ce52326f51492b63c0e970c66d284c534a7a5b"
+
+    def test_trace_bytes_are_pinned(self):
+        digest = hashlib.sha256()
+        verdicts = Counter()
+        steps = 0
+        for f in formula_corpus(3, 40, max_depth=4):
+            out = prove(f, ProverConfig(5, 3000))
+            verdicts[out.verdict] += 1
+            steps += len(out.trace.steps)
+            digest.update(json.dumps(outcome_to_json(out, include_trace=True),
+                                     sort_keys=True).encode())
+        assert verdicts == {"proved": 6, "countermodel": 28, "unknown": 6}
+        assert steps == 15_353
         assert digest.hexdigest() == self.DIGEST
 
 
