@@ -2,7 +2,12 @@
 
 Subcommands: parse, eval, check, prove, dual, transform, identities, entropy.
 JSON goes to stdout with sorted keys and a "schema": "partlog/1" tag so golden
-files are byte-stable; human-readable errors go to stderr.
+files are byte-stable; human-readable errors go to stderr.  Every JSON command
+writes through jsonout, one explicit-stack writer whose bytes are exactly those
+of json.dumps(payload, sort_keys=True, indent=2): it writes scalars with json's
+own helpers, lists of scalars in one join, and the trace's statements, steps
+and branches through one %-format per key set and nesting level, and no depth
+of formula exhausts its stack.
 
 Exit codes: 0 success (tautology / proved for check and prove), 1 countermodel
 or failed identities, 2 prover gave up (unknown), 64 usage or parse error,
@@ -16,6 +21,7 @@ import json
 import os
 import sys
 
+from . import jsonout
 from .core import InternalInvariantError, PartitionLogicError, logical_entropy
 from .core import partition_to_json
 from .formula import (
@@ -40,8 +46,10 @@ EX_INTERNAL = 70
 
 
 def _emit(payload: dict) -> None:
-    payload = {"schema": SCHEMA, **payload}
-    print(json.dumps(payload, sort_keys=True, indent=2))
+    # piece by piece: the JSON of a deep formula runs to hundreds of MB
+    out = sys.stdout
+    out.writelines(jsonout.encode({"schema": SCHEMA, **payload}))
+    out.write("\n")
 
 
 def _fail(code: int, message: str) -> int:

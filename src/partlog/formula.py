@@ -33,6 +33,7 @@ import threading
 import weakref
 from _weakref import _remove_dead_weakref
 from enum import Enum
+from functools import lru_cache
 
 from .core import PartitionLogicError
 
@@ -398,6 +399,7 @@ def _desugared_order(g) -> tuple:
     return (g.right, g.left) if type(g) is Diff else _children(g)
 
 
+@lru_cache(maxsize=64)
 def lower(f: Formula) -> tuple[tuple, ...]:
     """Desugar f into a straight-line program, children before parents.
 
@@ -407,7 +409,9 @@ def lower(f: Formula) -> tuple[tuple, ...]:
     key is the flat tuple (op, i, j), as desugaring makes equal instructions
     from unequal nodes, and an equal subtree of f is one node, lowered once.
     Children are visited in the desugared formula's order, so atoms come out
-    left to right.
+    left to right.  A bounded memo keeps the last programs (f is interned
+    and a program is immutable), so the prover's several uses of its root
+    lower it once.
     """
     index: dict[tuple, int] = {}        # instruction -> position, in order
 

@@ -8,6 +8,14 @@ import sys
 import pytest
 
 from partlog.cli import main
+from partlog.core import logical_entropy, partition_to_json
+from partlog.corpus import formula_corpus
+from partlog.formula import formula_to_json, parse, to_text
+from partlog.semantics import (
+    assignment_from_json, check_partition_tautology, check_result_to_json, check_weak,
+    eval_formula,
+)
+from partlog.tableau import ProverConfig, outcome_to_json, prove
 
 
 @pytest.fixture()
@@ -246,17 +254,111 @@ class TestUnexpectedErrorExitCode:
         assert "RuntimeError: unexpected" in err
 
 
+class TestUnsupportedValueExitCode:
+    def test_exit_70(self, capture, monkeypatch):
+        import partlog.cli as cli
+
+        monkeypatch.setattr(cli, "formula_to_json", lambda f: {"op": {1, 2}})
+        code, out, err = capture("parse", "s")
+        assert (code, out) == (70, "")
+        assert "TypeError: Object of type set is not JSON serializable" in err
+
+
+MODEL = {"universe": ["a", "b", "c", "d"],
+         "bindings": {"s": [["a", "b"], ["c", "d"]], "t": [["a"], ["b", "c", "d"]]}}
+
+
+class TestSameBytesAsJsonDumps:
+    """Every JSON command's stdout is json.dumps(sort_keys=True, indent=2) of
+    the library's payload plus the schema tag."""
+
+    @staticmethod
+    def expected(payload) -> str:
+        return json.dumps({"schema": "partlog/1", **payload}, sort_keys=True,
+                          indent=2) + "\n"
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_formula_commands(self, capture, tmp_path, seed):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(MODEL))
+        model = assignment_from_json(MODEL)
+        cfg = ProverConfig(max_elements=5, max_steps=300)
+        for f in formula_corpus(seed, 12, max_depth=3, atom_names=("s", "t")):
+            text = to_text(f)
+            f = parse(text)
+            runs = [
+                (["parse"], formula_to_json(f)),
+                (["eval", "--model", str(path)],
+                 partition_to_json(eval_formula(f, model))),
+                (["check", "--max-n", "3"],
+                 check_result_to_json(check_partition_tautology(f, 3))),
+                (["check", "--weak", "--max-n", "3"],
+                 check_result_to_json(check_weak(f, 3))),
+                (["prove", "--max-elements", "5", "--max-steps", "300"],
+                 outcome_to_json(prove(f, cfg))),
+                (["prove", "--max-elements", "5", "--max-steps", "300", "--trace"],
+                 outcome_to_json(prove(f, cfg), include_trace=True)),
+            ]
+            for argv, payload in runs:
+                code, out, err = capture(argv[0], text, *argv[1:])
+                assert err == "" and code in (0, 1, 2), argv
+                assert out == self.expected(payload), argv
+
+    def test_entropy(self, capture, tmp_path):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(MODEL))
+        for atom in ("s", "t"):
+            h = logical_entropy(assignment_from_json(MODEL).get(atom))
+            code, out, _ = capture("entropy", "--model", str(path), "--atom", atom)
+            assert code == 0
+            assert out == self.expected({"entropy": "%d/%d" % (h.numerator, h.denominator),
+                                         "numerator": h.numerator,
+                                         "denominator": h.denominator})
+
+
+# parses argv[1] through main in one interpreter
+PARSE = """
+import sys
+from partlog.cli import main
+sys.exit(main(["parse", sys.argv[1]]))
+"""
+
+
 class TestDeepFormula:
     DEEP = " => ".join(["s"] * 3000)
 
-    # json's encoders in cli._emit still recurse, and the formula's JSON
-    # nests as deep as the formula, so parse still exits 64
-    @pytest.mark.parametrize("command", ["parse"])
-    def test_exits_64(self, capture, command):
-        code, out, err = capture(command, self.DEEP)
-        assert code == 64
-        assert out == ""
-        assert "nested too deeply" in err
+    def test_parse_matches_json_dumps(self, capture):
+        text = " => ".join(["s"] * 600)
+        code, out, err = capture("parse", text)
+        assert (code, err) == (0, "")
+        # json's encoders recurse once or twice per level of the formula
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(max(limit, 10_000))
+        try:
+            want = json.dumps({"schema": "partlog/1", **formula_to_json(parse(text))},
+                              sort_keys=True, indent=2)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert out == want + "\n"
+
+    def test_parse_answers(self, tmp_path):
+        # about 198 MB of JSON: written to a file, not captured
+        path = tmp_path / "deep.json"
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        try:
+            with open(path, "wb") as fh:
+                proc = subprocess.run([sys.executable, "-c", PARSE, self.DEEP],
+                                      env=dict(os.environ, PYTHONPATH=src), stdout=fh,
+                                      stderr=subprocess.PIPE, timeout=300)
+            assert (proc.returncode, proc.stderr) == (0, b"")
+            with open(path, "rb") as fh:
+                head = fh.read(40)
+                fh.seek(-64, os.SEEK_END)
+                tail = fh.read()
+            assert head.startswith(b'{\n  "args": [\n    {\n      "args": [\n')
+            assert tail.endswith(b'\n  "op": "impl",\n  "schema": "partlog/1"\n}\n')
+        finally:
+            path.unlink(missing_ok=True)
 
     @pytest.mark.parametrize("trace", [[], ["--trace"]], ids=["no-trace", "trace"])
     def test_prove_runs_out_of_steps(self, capture, trace):
