@@ -46,7 +46,9 @@ EX_INTERNAL = 70
 
 
 def _emit(payload: dict) -> None:
-    # piece by piece: the JSON of a deep formula runs to hundreds of MB
+    # encode builds every piece before any is written, so a value it cannot
+    # write exits 70 with empty stdout; the pieces are written, not joined
+    # into one string, as the JSON of a deep formula runs to hundreds of MB
     out = sys.stdout
     out.writelines(jsonout.encode({"schema": SCHEMA, **payload}))
     out.write("\n")

@@ -7,74 +7,46 @@ deep as the formula, runs out of stack.  This writer keeps its open
 containers on a list instead and writes the common flat shapes in bulk:
 
 - scalars go through json's own helpers: encode_basestring_ascii for
-  strings, int.__repr__ for ints, true/false/null, and floats as
-  json.encoder writes them;
+  strings, int.__repr__ for ints, and true/false/null;
 - a list of scalars is one str.join;
 - a dict whose values are scalars or lists of scalars (a "record": the
   trace's statements, steps and branches) is one %-format, built from its
   sorted keys once per key tuple and nesting level; a list of records that
   share one key tuple is one %-format of that format repeated.
 
-Every cache is an lru_cache with a bound, and indentation is built when a
-level is first met, so a deep formula grows nothing without limit.  Values
-json cannot encode raise TypeError, and a container that contains itself
-raises ValueError, as in json.
+It writes only what the CLI's payloads hold: dicts with str keys, lists,
+tuples, str, int, bool and None, each of exactly that type.  Anything else
+(a float, a subclass, a non-str key) raises TypeError, and a container that
+contains itself raises ValueError, as in json.  Every cache is an lru_cache
+with a bound, and indentation is built when a level is first met, so a deep
+formula grows nothing without limit.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache, partial
 from itertools import chain, repeat
-from json.encoder import INFINITY, encode_basestring_ascii
-from operator import call, itemgetter
+from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 
 INDENT = "  "
 
-
-def _float(x: float) -> str:
-    if x != x:
-        return "NaN"
-    if x == INFINITY:
-        return "Infinity"
-    if x == -INFINITY:
-        return "-Infinity"
-    return float.__repr__(x)
-
-
-# encoders of the scalars by exact type; subclasses take the slow path
-_SCALARS = {str: encode_basestring_ascii, int: int.__repr__, float: _float,
+# encoders of the scalars by exact type
+_SCALARS = {str: encode_basestring_ascii, int: int.__repr__,
             bool: {True: "true", False: "false"}.__getitem__,
             type(None): {None: "null"}.__getitem__}
-_scalar = _SCALARS.__getitem__      # KeyError: not a scalar of an exact type
+_scalar = _SCALARS.__getitem__      # KeyError: not a scalar
 
 
-def _slow_scalar(v) -> str | None:
-    """A scalar whose type subclasses a JSON type, in json's order; None for
-    anything else."""
-    if isinstance(v, str):
-        return encode_basestring_ascii(v)
-    if v is None:
-        return "null"
-    if v is True:
-        return "true"
-    if v is False:
-        return "false"
-    if isinstance(v, int):
-        return int.__repr__(v)
-    if isinstance(v, float):
-        return _float(v)
-    return None
+def _apply(encoder, v) -> str:
+    return encoder(v)
 
 
 def _key(k) -> str:
-    """A dict key as json writes it, after the keys are sorted."""
-    if isinstance(k, str):
-        return encode_basestring_ascii(k)
-    text = _slow_scalar(k)
-    if text is None:
-        raise TypeError("keys must be str, int, float, bool or None, not %s"
-                        % k.__class__.__name__)
-    return encode_basestring_ascii(text)
+    """A dict key as json writes it."""
+    if type(k) is not str:
+        raise TypeError("keys must be str, not %s" % k.__class__.__name__)
+    return encode_basestring_ascii(k)
 
 
 # -- the flat shapes: a KeyError from a type lookup means "not flat" --------
@@ -90,7 +62,7 @@ def _scalar_list(level: int):
     def write(v) -> str:
         if not v:
             return "[]"
-        return head + sep.join(map(call, map(_scalar, map(type, v)), v)) + tail
+        return head + sep.join(map(_apply, map(_scalar, map(type, v)), v)) + tail
     return write
 
 
@@ -105,15 +77,13 @@ def _field(level: int):
 @lru_cache(maxsize=128)
 def _record_format(level: int, keys: tuple):
     """(format, getter, field encoders) of a dict with this key tuple at
-    level; KeyError if a key is not a str."""
-    if any(type(k) is not str for k in keys):
-        raise KeyError(keys)
+    level."""
     names = sorted(keys)
     if not names:
         return "{}", lambda d: (), _field(level + 1)
     inner = "\n" + INDENT * (level + 1)
     fmt = ("{" + inner + ("," + inner).join(
-        encode_basestring_ascii(k).replace("%", "%%") + ": %s" for k in names)
+        _key(k).replace("%", "%%") + ": %s" for k in names)
         + "\n" + INDENT * level + "}")
     getter = (itemgetter(*names) if len(names) > 1
               else lambda d, k=names[0]: (d[k],))
@@ -123,7 +93,7 @@ def _record_format(level: int, keys: tuple):
 def _record(d: dict, level: int) -> str:
     fmt, getter, field = _record_format(level, tuple(d))
     values = getter(d)
-    return fmt % tuple(map(call, map(field, map(type, values)), values))
+    return fmt % tuple(map(_apply, map(field, map(type, values)), values))
 
 
 @lru_cache(maxsize=128)
@@ -145,19 +115,18 @@ def _records(v: list, level: int) -> str | None:
     values = list(chain.from_iterable(map(getter, v)))
     sep = ",\n" + INDENT * level
     return sep.join(repeat(fmt, len(v))) % tuple(
-        map(call, map(field, map(type, values)), values))
+        map(_apply, map(field, map(type, values)), values))
 
 
 def _list(v, level: int) -> str:
     """A non-empty list at level whose items are all of flat shapes."""
     inner = "\n" + INDENT * (level + 1)
-    types = set(map(type, v))
-    if types == {dict}:
+    if set(map(type, v)) == {dict}:
         body = _records(v, level + 1)
         if body is not None:
             return "[" + inner + body + "\n" + INDENT * level + "]"
     item = _item(level + 1)
-    return ("[" + inner + ("," + inner).join(map(call, map(item, map(type, v)), v))
+    return ("[" + inner + ("," + inner).join(map(_apply, map(item, map(type, v)), v))
             + "\n" + INDENT * level + "]")
 
 
@@ -180,27 +149,17 @@ def encode(obj) -> list[str]:
                 put(before + text(v))
                 continue
             if kind is not dict and kind is not list and kind is not tuple:
-                text = _slow_scalar(v)
-                if text is not None:
-                    put(before + text)
-                    continue
-                if isinstance(v, dict):
-                    kind = dict
-                elif isinstance(v, (list, tuple)):
-                    kind = list
-                else:
-                    raise TypeError("Object of type %s is not JSON serializable"
-                                    % v.__class__.__name__)
+                raise TypeError("Object of type %s is not JSON serializable"
+                                % kind.__name__)
             if not v:
                 put(before + ("{}" if kind is dict else "[]"))
                 continue
-            if kind is type(v):       # subclasses skip the flat shapes
-                try:
-                    put(before + (_record(v, level) if kind is dict
-                                  else _list(v, level)))
-                    continue
-                except KeyError:
-                    pass                # not flat: open it on the stack
+            try:
+                put(before + (_record(v, level) if kind is dict
+                              else _list(v, level)))
+                continue
+            except KeyError:
+                pass                # not flat: open it on the stack
             if id(v) in open_ids:
                 raise ValueError("Circular reference detected")
             open_ids.add(id(v))
@@ -225,8 +184,3 @@ def encode(obj) -> list[str]:
             open_ids.discard(ident)
             put(close)
             level -= 1
-
-
-def dumps(obj) -> str:
-    """json.dumps(obj, sort_keys=True, indent=2), without recursion."""
-    return "".join(encode(obj))

@@ -1,5 +1,5 @@
 """The CLI's JSON writer: the bytes of json.dumps(v, sort_keys=True, indent=2)
-for every JSON value, from an explicit stack."""
+for every value of the types it writes, from an explicit stack."""
 
 import ast
 import json
@@ -10,7 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from partlog import jsonout
-from partlog.jsonout import INDENT, dumps
+from partlog.jsonout import INDENT, encode
+
+
+def dumps(v) -> str:
+    return "".join(encode(v))
 
 
 def reference(v) -> str:
@@ -23,8 +27,8 @@ KEYS = (st.sampled_from(["id", "branch", "pair", "", "%s", "%%", "%(x)s", 'a"b',
                          "back\\slash", "\x00", "\x1f", "tab\t", "é", " ",
                          "😀", "A", "a", "aa"])
         | st.text(max_size=6))
-SCALARS = (st.none() | st.booleans() | st.sampled_from([0, 1, True, False, 1.0, -0.0])
-           | st.integers() | st.floats() | st.text(max_size=8))
+SCALARS = (st.none() | st.booleans() | st.sampled_from([0, 1, True, False, -1])
+           | st.integers() | st.text(max_size=8))
 FLAT_LISTS = (st.lists(SCALARS, max_size=5) | st.lists(st.text(max_size=4), max_size=5)
               | st.lists(st.integers(), max_size=5))
 FIELDS = SCALARS | FLAT_LISTS | FLAT_LISTS.map(tuple)
@@ -46,60 +50,28 @@ def test_same_bytes_as_json_dumps(value):
     assert dumps(value) == reference(value)
 
 
-@settings(max_examples=100, deadline=None)
-@given(st.dictionaries(st.integers() | st.booleans() | st.none() | st.floats()
-                       | st.text(max_size=3), SCALARS | RECORDS, max_size=4))
-def test_non_string_keys_as_json_writes_them(value):
-    # keys of mixed types fail to sort, in json as here
-    try:
-        want = reference(value)
-    except TypeError:
-        with pytest.raises(TypeError):
-            dumps(value)
-    else:
-        assert dumps(value) == want
+class Text(str):
+    pass
 
 
-def test_subclasses_of_json_types():
-    from collections import OrderedDict
-    from enum import IntEnum
-
-    class Level(IntEnum):
-        LOW = 1
-
-    class Text(str):
-        pass
-
-    class Items(list):
-        pass
-
-    value = OrderedDict([("b", Items([Level.LOW, Text("x")])), ("a", {"k": Level.LOW}),
-                         ("c", [OrderedDict(z=1)]), ("d", [Items([1])])])
-    assert dumps(value) == reference(value)
-    assert dumps([value, value]) == reference([value, value])
+class Items(list):
+    pass
 
 
-def test_equal_keys_of_different_types_keep_their_text():
-    # 1, True and 1.0 are equal and hash alike; each is written as json does
-    for value in ({1: 0}, {True: 0}, {1.0: 0}, {"1": 0}, [{1: 0}, {True: 0}]):
-        assert dumps(value) == reference(value)
-
-
-@pytest.mark.parametrize("value", [object(), {1, 2}, b"x", {"a": [1, object()]},
-                                   [{"a": {"b": 1j}}]])
+@pytest.mark.parametrize("value", [
+    object(), {1, 2}, b"x", {"a": [1, object()]}, [{"a": {"b": 1j}}],
+    # json writes these, but no CLI payload holds one
+    0.5, [1, 2.0], {"a": float("nan")}, Text("x"), [Items([1])], {"a": [Text()]}])
 def test_unsupported_values_raise_type_error(value):
-    with pytest.raises(TypeError, match="is not JSON serializable"):
-        reference(value)
     with pytest.raises(TypeError, match="is not JSON serializable"):
         dumps(value)
 
 
-def test_unsupported_keys_raise_type_error():
-    for value in ({(1, 2): 0, (3,): [{}]}, [{"a": {frozenset(): 1}}]):
-        with pytest.raises(TypeError, match="keys must be str"):
-            reference(value)
-        with pytest.raises(TypeError, match="keys must be str"):
-            dumps(value)
+@pytest.mark.parametrize("value", [{1: 0}, {True: 0}, {None: 0}, [{"a": {2: 1}}],
+                                   [{1: "x"}, {1: "y"}], {Text("k"): 0}])
+def test_keys_other_than_str_raise_type_error(value):
+    with pytest.raises(TypeError, match="keys must be str"):
+        dumps(value)
 
 
 def test_a_container_that_contains_itself_raises_value_error():
@@ -136,8 +108,7 @@ def test_depth_costs_no_stack(kind):
 
 
 def test_scalars_at_the_top():
-    for value in ["x", "é\n", 0, -5, True, False, None, 1e300, float("inf"),
-                  float("-inf"), float("nan"), 0.1]:
+    for value in ["x", "é\n", "", 0, -5, 10 ** 30, True, False, None]:
         assert dumps(value) == reference(value)
 
 
@@ -174,7 +145,7 @@ def cycles(graph) -> list:
 def test_no_function_in_jsonout_recurses():
     tree = ast.parse(Path(jsonout.__file__).read_text())
     graph = reference_graph(tree)
-    assert {"encode", "dumps", "_record", "_list"} <= graph.keys()
+    assert {"encode", "_record", "_records", "_list"} <= graph.keys()
     assert cycles(graph) == []
 
 
