@@ -1,6 +1,7 @@
 """Command-line front end.
 
 Subcommands: parse, eval, check, prove, dual, transform, identities, entropy.
+Only prove loads the tableau, on first use, and only identities loads numpy.
 JSON goes to stdout with sorted keys and a "schema": "partlog/1" tag so golden
 files are byte-stable; human-readable errors go to stderr.  Every JSON command
 writes through jsonout, one explicit-stack writer whose bytes are exactly those
@@ -33,7 +34,6 @@ from .semantics import (
     BudgetExceeded, UnboundAtom, assignment_from_json, check_partition_tautology,
     check_result_to_json, check_weak, eval_formula,
 )
-from .tableau import ProverConfig, outcome_to_json, prove as tableau_prove
 
 SCHEMA = "partlog/1"
 
@@ -66,6 +66,8 @@ def _load_model(path: str):
         return assignment_from_json(obj)
     except (OSError, ValueError, KeyError, TypeError, PartitionLogicError) as exc:
         raise _ModelFileError(str(exc)) from exc
+    except RecursionError:      # json.load recurses on nested lists
+        raise _ModelFileError("nested too deeply") from None
 
 
 class _ModelFileError(Exception):
@@ -94,7 +96,18 @@ def _cmd_check(args) -> int:
     return EX_COUNTERMODEL if result.is_countermodel else EX_OK
 
 
+def tableau_prove(f, cfg=None):
+    from .tableau import prove      # only prove loads the tableau
+    return prove(f, cfg)
+
+
+def outcome_to_json(outcome, include_trace: bool = False) -> dict:
+    from .tableau import outcome_to_json
+    return outcome_to_json(outcome, include_trace)
+
+
 def _cmd_prove(args) -> int:
+    from .tableau import ProverConfig
     f = parse_formula(args.formula)
     cfg = ProverConfig(max_elements=args.max_elements, max_steps=args.max_steps)
     outcome = tableau_prove(f, cfg)

@@ -85,6 +85,16 @@ class TestEval:
         bad.write_text("{not json")
         assert capture("eval", "s", "--model", str(bad))[0] == 65
 
+    @pytest.mark.parametrize("argv", [["eval", "s"], ["entropy", "--atom", "s"]])
+    def test_deeply_nested_model_exits_65(self, capture, tmp_path, argv):
+        # json.load raises RecursionError on this file; it is a bad model
+        # file, not a formula nested too deeply
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 100_000 + "]" * 100_000)
+        code, out, err = capture(*argv, "--model", str(deep))
+        assert (code, out) == (65, "")
+        assert "bad model file" in err
+
 
 class TestCheck:
     def test_tautology_exit_zero(self, capture):
