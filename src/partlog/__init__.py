@@ -7,9 +7,9 @@ every submodule, loads with its submodule on first use (PEP 562), so code
 that only uses the partition algebra never compiles the prover.
 
 The relation route (PairRelation, dit/indit, closure/interior, the dual
-algebra; core.RELATION_NAMES) is importable from here as well, and loads
-partlog.relation, and with it numpy, on first use.  Its names are not in
-__all__, so `from partlog import *` does not load numpy."""
+algebra; _EXPORTS["relation"]) is importable from here as well, and loads
+partlog.relation on first use.  Its names are left out of __all__ to keep
+`from partlog import *` small."""
 
 __version__ = "0.1.0"
 

@@ -1,7 +1,7 @@
 """Command-line front end.
 
 Subcommands: parse, eval, check, prove, dual, transform, identities, entropy.
-Only prove loads the tableau, on first use, and only identities loads numpy.
+Only prove loads the tableau; only identities loads the relation route.
 JSON goes to stdout with sorted keys and a "schema": "partlog/1" tag so golden
 files are byte-stable; human-readable errors go to stderr.  Every JSON command
 writes through jsonout, one explicit-stack writer whose bytes are exactly those
@@ -139,7 +139,7 @@ def _cmd_transform(args) -> int:
 
 
 def _cmd_identities(args) -> int:
-    from .identities import SuiteContext, run_suite     # loads numpy
+    from .identities import SuiteContext, run_suite
     seed = args.seed
     env_seed = os.environ.get("PARTLOG_SEED")
     if env_seed is not None:

@@ -10,8 +10,8 @@ strings, with the module's single union-find ``_components``.  Logical
 entropy is counted from block sizes.  The relation route on U x U (dit,
 indit, closure, interior, the dual algebra) lives in partlog.relation, the
 reference that the identity suite and the tests check this kernel against.
-This module does not import it, so parse, eval, check and prove never load
-numpy; its names stay importable from here and are loaded on first use.
+This module does not import it; its names (partlog._EXPORTS["relation"])
+stay importable from here and are loaded on first use.
 """
 
 from __future__ import annotations
@@ -364,16 +364,9 @@ def partition_from_json(obj: dict) -> Partition:
 # The relation route, loaded on first use (PEP 562)
 # ---------------------------------------------------------------------------
 
-RELATION_NAMES = (
-    "RelationKind", "PairRelation", "closure", "interior",
-    "chain_bounded_closure", "dit", "indit", "from_equivalence", "pi_nand",
-    "eq_meet", "eq_join", "eq_diff", "eq_nor", "dual_op", "relation_to_json",
-    "relation_from_json",
-)
-
-
 def __getattr__(name: str):
-    if name in RELATION_NAMES:
+    from . import _EXPORTS
+    if name in _EXPORTS["relation"]:
         from . import relation
         return getattr(relation, name)
     raise AttributeError("module %r has no attribute %r" % (__name__, name))

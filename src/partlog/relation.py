@@ -1,16 +1,18 @@
 """Binary relations on U x U, the closure space, and the dual algebra.
 
-A relation is a dense boolean matrix over element indices.  The closed sets of
-the closure space U x U are the equivalence relations; the open sets are the
-partition relations (dit sets); interior = complement of closure of
-complement.  The dual algebra of equivalence relations (eq_meet, eq_join,
-eq_diff, eq_nor) acts on indit sets.
+A relation holds one bitmask per element of U: bit j of row i is set when
+the pair (u_i, u_j) is in it, so unions, intersections and complements are
+integer bit operations.  The closed sets of the closure space U x U are the
+equivalence relations; the open sets are the partition relations (dit sets);
+interior = complement of closure of complement.  The dual algebra of
+equivalence relations (eq_meet, eq_join, eq_diff, eq_nor) acts on indit sets.
 
 This is the reference route: the identity suite and the tests check the
 restricted-growth kernel of partlog.core against it, and eval_dual runs the
-dual algebra here.  It is the only library module that imports numpy, and it
-is loaded on first use, so parse, eval, check and prove never load numpy.
-Every public name here can also be imported from partlog and partlog.core.
+dual algebra here.  Closure goes through core's one union-find, and the rest
+is bit arithmetic on rows that shares no code with the kernel's operation
+tables.  It is loaded on first use.  Every public name here can also be
+imported from partlog and partlog.core.
 """
 
 from __future__ import annotations
@@ -18,8 +20,6 @@ from __future__ import annotations
 from enum import Enum
 from functools import lru_cache
 from typing import Iterable
-
-import numpy as np
 
 from .core import (
     NotEquivalence, Partition, PartitionLogicError, Universe, _canonical_rgs,
@@ -33,34 +33,54 @@ class RelationKind(Enum):
     PARTITION_RELATION = "partition-relation"
 
 
-def _is_symmetric(m: np.ndarray) -> bool:
-    return bool(np.array_equal(m, m.T))
+def _members(row: int, n: int) -> list[int]:
+    return [j for j in range(n) if row >> j & 1]
 
 
-def _is_transitive(m: np.ndarray) -> bool:
-    step = (m.astype(np.uint8) @ m.astype(np.uint8)) > 0
-    return bool(np.all(~step | m))
+def _complement(rows: tuple[int, ...]) -> tuple[int, ...]:
+    full = (1 << len(rows)) - 1
+    return tuple(full ^ row for row in rows)
+
+
+def _is_equivalence(rows: tuple[int, ...]) -> bool:
+    # reflexive, symmetric and transitive iff each distinct row is exactly
+    # the set of elements that have it as their row (their class)
+    classes: dict[int, int] = {}
+    for i, row in enumerate(rows):
+        classes[row] = classes.get(row, 0) | 1 << i
+    return all(row == members for row, members in classes.items())
 
 
 class PairRelation:
-    """Subset of U x U as an immutable dense boolean matrix with a kind tag."""
+    """Subset of U x U as an immutable tuple of row bitmasks with a kind tag."""
 
-    __slots__ = ("universe", "matrix", "kind")
+    __slots__ = ("universe", "rows", "kind")
 
     def __init__(self, universe: Universe, matrix, kind: RelationKind = RelationKind.ARBITRARY):
-        m = np.array(matrix, dtype=bool)
         n = universe.size
-        if m.shape != (n, n):
+        try:
+            m = [[bool(v) for v in row] for row in matrix]
+        except TypeError:
+            m = None
+        if m is None or len(m) != n or any(len(row) != n for row in m):
             raise PartitionLogicError("relation matrix must be %dx%d" % (n, n))
-        m.setflags(write=False)
-        if kind is RelationKind.EQUIVALENCE:
-            if not (np.all(np.diag(m)) and _is_symmetric(m) and _is_transitive(m)):
-                raise NotEquivalence("relation is not reflexive+symmetric+transitive")
-        elif kind is RelationKind.PARTITION_RELATION:
-            if not (not np.any(np.diag(m)) and _is_symmetric(m) and _is_transitive(~m)):
-                raise PartitionLogicError("relation is not a partition relation")
+        self._set(universe, tuple(sum(1 << j for j, v in enumerate(row) if v) for row in m), kind)
+
+    @classmethod
+    def _of_rows(cls, universe: Universe, rows: tuple[int, ...],
+                 kind: RelationKind = RelationKind.ARBITRARY) -> "PairRelation":
+        r = object.__new__(cls)
+        r._set(universe, rows, kind)
+        return r
+
+    def _set(self, universe: Universe, rows: tuple[int, ...], kind: RelationKind):
+        # every construction, public or internal, passes this kind check
+        if kind is RelationKind.EQUIVALENCE and not _is_equivalence(rows):
+            raise NotEquivalence("relation is not reflexive+symmetric+transitive")
+        if kind is RelationKind.PARTITION_RELATION and not _is_equivalence(_complement(rows)):
+            raise PartitionLogicError("relation is not a partition relation")
         object.__setattr__(self, "universe", universe)
-        object.__setattr__(self, "matrix", m)
+        object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "kind", kind)
 
     def __setattr__(self, *_):
@@ -71,49 +91,57 @@ class PairRelation:
     @classmethod
     def from_pairs(cls, universe: Universe, pairs: Iterable[tuple[str, str]],
                    kind: RelationKind = RelationKind.ARBITRARY) -> "PairRelation":
-        m = np.zeros((universe.size, universe.size), dtype=bool)
+        rows = [0] * universe.size
         for a, b in pairs:
-            m[universe.index(a), universe.index(b)] = True
-        return cls(universe, m, kind)
+            rows[universe.index(a)] |= 1 << universe.index(b)
+        return cls._of_rows(universe, tuple(rows), kind)
 
     @classmethod
     def empty(cls, universe: Universe) -> "PairRelation":
-        return cls(universe, np.zeros((universe.size, universe.size), dtype=bool))
+        return cls._of_rows(universe, (0,) * universe.size)
 
     @classmethod
     def full(cls, universe: Universe) -> "PairRelation":
-        return cls(universe, np.ones((universe.size, universe.size), dtype=bool),
-                   RelationKind.EQUIVALENCE)
+        n = universe.size
+        return cls._of_rows(universe, ((1 << n) - 1,) * n, RelationKind.EQUIVALENCE)
 
     @classmethod
     def diagonal(cls, universe: Universe) -> "PairRelation":
-        return cls(universe, np.eye(universe.size, dtype=bool), RelationKind.EQUIVALENCE)
+        return cls._of_rows(universe, tuple(1 << i for i in range(universe.size)),
+                            RelationKind.EQUIVALENCE)
 
     # -- queries -----------------------------------------------------------
 
+    @property
+    def matrix(self) -> tuple[tuple[bool, ...], ...]:
+        """The relation as a read-only n x n tuple of tuples of bool."""
+        n = self.universe.size
+        return tuple(tuple(bool(row >> j & 1) for j in range(n)) for row in self.rows)
+
     def holds(self, a: str, b: str) -> bool:
-        return bool(self.matrix[self.universe.index(a), self.universe.index(b)])
+        return bool(self.rows[self.universe.index(a)] >> self.universe.index(b) & 1)
 
     @property
     def count(self) -> int:
-        return int(self.matrix.sum())
+        return sum(row.bit_count() for row in self.rows)
 
     def pairs(self) -> list[tuple[str, str]]:
         """Member pairs sorted by universe order."""
         els = self.universe.elements
-        return [(els[i], els[j]) for i, j in zip(*np.nonzero(self.matrix))]
+        return [(els[i], els[j]) for i, row in enumerate(self.rows)
+                for j in _members(row, len(els))]
 
     def is_subset_of(self, other: "PairRelation") -> bool:
         _check_same_universe(self, other)
-        return bool(np.all(~self.matrix | other.matrix))
+        return all(a & ~b == 0 for a, b in zip(self.rows, other.rows))
 
     def __eq__(self, other):
         if not isinstance(other, PairRelation):
             return NotImplemented
-        return self.universe == other.universe and np.array_equal(self.matrix, other.matrix)
+        return self.universe == other.universe and self.rows == other.rows
 
     def __hash__(self):
-        return hash((self.universe, self.matrix.tobytes()))
+        return hash((self.universe, self.rows))
 
     def __repr__(self):
         return "PairRelation(%r, %d pairs, %s)" % (
@@ -123,15 +151,17 @@ class PairRelation:
 
     def union(self, other: "PairRelation") -> "PairRelation":
         _check_same_universe(self, other)
-        return PairRelation(self.universe, self.matrix | other.matrix)
+        return PairRelation._of_rows(self.universe,
+                                     tuple(a | b for a, b in zip(self.rows, other.rows)))
 
     def intersection(self, other: "PairRelation") -> "PairRelation":
         _check_same_universe(self, other)
-        return PairRelation(self.universe, self.matrix & other.matrix)
+        return PairRelation._of_rows(self.universe,
+                                     tuple(a & b for a, b in zip(self.rows, other.rows)))
 
     def complement(self) -> "PairRelation":
         """Complement within all of U x U (diagonal included)."""
-        return PairRelation(self.universe, ~self.matrix)
+        return PairRelation._of_rows(self.universe, _complement(self.rows))
 
 
 # ---------------------------------------------------------------------------
@@ -141,53 +171,62 @@ class PairRelation:
 @lru_cache(maxsize=1 << 16)
 def closure(r: PairRelation) -> PairRelation:
     """Reflexive, symmetric, transitive closure: the smallest equivalence containing r."""
-    rows, cols = np.nonzero(r.matrix)
-    rgs = _components(r.universe.size, zip(rows.tolist(), cols.tolist()))
+    n = r.universe.size
+    rgs = _components(n, ((i, j) for i, row in enumerate(r.rows) for j in _members(row, n)))
     return indit(Partition(r.universe, rgs))
 
 
 def interior(r: PairRelation) -> PairRelation:
     """int(S) = complement of the closure of the complement of S."""
-    m = ~closure(r.complement()).matrix
-    return PairRelation(r.universe, m, RelationKind.PARTITION_RELATION)
+    rows = _complement(closure(r.complement()).rows)
+    return PairRelation._of_rows(r.universe, rows, RelationKind.PARTITION_RELATION)
 
 
 def chain_bounded_closure(r: PairRelation, max_links: int) -> PairRelation:
     """Diagonal plus all pairs joinable by a chain of at most ``max_links`` arcs of r.
 
     Uses the symmetrized arc set; with ``max_links`` large enough this equals
-    ``closure(r)``, and the chain-length lemmas say how large is enough.
+    ``closure(r)``, and the chain-length lemmas say how large is enough.  Zero
+    links give the diagonal.
     """
+    if max_links < 0:
+        raise ValueError("max_links must be >= 0, got %d" % max_links)
     n = r.universe.size
-    sym = (r.matrix | r.matrix.T).astype(np.uint8)
-    acc = sym.copy()
-    reach = sym.copy()
-    for _ in range(max_links - 1):
-        reach = ((reach @ sym) > 0).astype(np.uint8)
-        acc |= reach
-    m = acc.astype(bool) | np.eye(n, dtype=bool)
-    return PairRelation(r.universe, m)
+    rows = r.rows
+    # row i of the symmetrized arcs: row i of r plus column i of r
+    sym = [row | sum((rows[j] >> i & 1) << j for j in range(n)) for i, row in enumerate(rows)]
+    reach = [1 << i for i in range(n)]
+    for _ in range(max_links):
+        for i, row in enumerate(reach):
+            for j in _members(row, n):
+                reach[i] |= sym[j]
+    return PairRelation._of_rows(r.universe, tuple(reach))
+
+
+def _block_rows(p: Partition) -> tuple[int, ...]:
+    """Row i is the bitmask of the block holding element i."""
+    masks = [0] * p.n_blocks
+    for i, b in enumerate(p.rgs):
+        masks[b] |= 1 << i
+    return tuple(masks[b] for b in p.rgs)
 
 
 def dit(p: Partition) -> PairRelation:
     """Distinctions of p: ordered pairs lying in different blocks."""
-    a = np.array(p.rgs)
-    return PairRelation(p.universe, a[:, None] != a[None, :], RelationKind.PARTITION_RELATION)
+    return PairRelation._of_rows(p.universe, _complement(_block_rows(p)),
+                                 RelationKind.PARTITION_RELATION)
 
 
 def indit(p: Partition) -> PairRelation:
     """Indistinctions of p: the complementary equivalence relation."""
-    a = np.array(p.rgs)
-    return PairRelation(p.universe, a[:, None] == a[None, :], RelationKind.EQUIVALENCE)
+    return PairRelation._of_rows(p.universe, _block_rows(p), RelationKind.EQUIVALENCE)
 
 
 def from_equivalence(r: PairRelation) -> Partition:
     """Partition whose blocks are the equivalence classes of r."""
     if r.kind is not RelationKind.EQUIVALENCE:
         raise NotEquivalence("expected an Equivalence-kind relation, got %s" % r.kind.value)
-    n = r.universe.size
-    labels = [int(np.argmax(r.matrix[i])) for i in range(n)]  # least class member
-    return Partition(r.universe, _canonical_rgs(labels))
+    return Partition(r.universe, _canonical_rgs(r.rows))    # equal rows, same class
 
 
 @lru_cache(maxsize=1 << 16)
@@ -211,7 +250,8 @@ def _require_equivalences(*rels: PairRelation):
 
 def eq_meet(e1: PairRelation, e2: PairRelation) -> PairRelation:
     _require_equivalences(e1, e2)
-    return PairRelation(e1.universe, e1.matrix & e2.matrix, RelationKind.EQUIVALENCE)
+    rows = tuple(a & b for a, b in zip(e1.rows, e2.rows))
+    return PairRelation._of_rows(e1.universe, rows, RelationKind.EQUIVALENCE)
 
 
 def eq_join(e1: PairRelation, e2: PairRelation) -> PairRelation:

@@ -96,7 +96,7 @@ def eval_dual(d: DualFormula, a: Assignment) -> PairRelation:
     eval_dual(dualize(f), a) = indit(eval_formula(f, a)).  The dual formula
     is read through dualize_back, each primitive running as its dual in the
     relation module's one table; (f => g)^d = g^d - f^d, so Impl swaps its
-    operands into the difference.  Loads partlog.relation (and numpy).
+    operands into the difference.  Loads partlog.relation on first use.
     """
     from .relation import _DUAL_OPS as dual, PairRelation, indit
     u = a.universe

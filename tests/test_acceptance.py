@@ -78,7 +78,7 @@ def test_c03_common_dits_exhaustive_on_five():
         import numpy as np
         for a in ds:
             for b in ds:
-                assert np.any(a.matrix & b.matrix)
+                assert np.any(np.array(a.matrix) & np.array(b.matrix))
 
 
 def test_c04_implication_equivalence_and_adjunction():

@@ -54,7 +54,7 @@ def interior_route(table, s, t):
     where R holds the pairs the table sends to T, so the blocks are the
     classes of closure(R^c)."""
     status = np.array([[table.ff, table.ft], [table.tf, table.tt]])
-    sd, td = dit(s).matrix, dit(t).matrix
+    sd, td = np.array(dit(s).matrix), np.array(dit(t).matrix)
     r = PairRelation(s.universe, status[sd.astype(int), td.astype(int)])
     return from_equivalence(closure(r.complement()))
 
@@ -500,7 +500,9 @@ class TestLatticeLaws:
 class TestImmutability:
     def test_relation_matrix_is_read_only(self):
         r = dit(SIGMA)
-        with pytest.raises(ValueError):
-            r.matrix[0, 0] = True
+        with pytest.raises(TypeError):
+            r.matrix[0][0] = True
+        with pytest.raises(AttributeError):
+            r.rows = (0,) * 5
         with pytest.raises(AttributeError):
             r.kind = RelationKind.ARBITRARY

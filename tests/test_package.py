@@ -103,15 +103,14 @@ def test_star_import_binds_every_name_in_all():
 
 def test_all_keeps_the_eager_exports_and_leaves_out_the_relation_route():
     assert {"core", "formula", "semantics", "tableau"} <= set(partlog.__all__)
-    assert set(partlog._EXPORTS["relation"]) == set(partlog.core.RELATION_NAMES)
-    assert not set(partlog.__all__) & set(partlog.core.RELATION_NAMES)
+    assert not set(partlog.__all__) & set(partlog._EXPORTS["relation"])
     assert len(partlog.__all__) == len(set(partlog.__all__))
 
 
 def test_dir_lists_every_export():
     listed = set(dir(partlog))
     assert set(partlog.__all__) <= listed
-    assert set(partlog.core.RELATION_NAMES) <= listed
+    assert set(partlog._EXPORTS["relation"]) <= listed
     assert set(partlog._EXPORTS) <= listed
 
 
