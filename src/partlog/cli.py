@@ -6,9 +6,9 @@ JSON goes to stdout with sorted keys and a "schema": "partlog/1" tag so golden
 files are byte-stable; human-readable errors go to stderr.  Every JSON command
 writes through jsonout, one explicit-stack writer whose bytes are exactly those
 of json.dumps(payload, sort_keys=True, indent=2): it writes scalars with json's
-own helpers, lists of scalars in one join, and the trace's statements, steps
-and branches through one %-format per key set and nesting level, and no depth
-of formula exhausts its stack.
+own helpers, lists of scalars in one join and records through one %-format per
+key set and nesting level, and no depth of formula exhausts its stack; prove's
+trace reaches it as text written in one pass (tableau.trace_sections).
 
 Exit codes: 0 success (tautology / proved for check and prove), 1 countermodel
 or failed identities, 2 prover gave up (unknown), 64 usage or parse error,
@@ -102,8 +102,12 @@ def tableau_prove(f, cfg=None):
 
 
 def outcome_to_json(outcome, include_trace: bool = False) -> dict:
-    from .tableau import outcome_to_json
-    return outcome_to_json(outcome, include_trace)
+    """tableau.outcome_to_json, with the trace as tableau.trace_sections."""
+    from .tableau import outcome_to_json, trace_sections
+    out = outcome_to_json(outcome)
+    if include_trace and outcome.trace is not None:
+        out.update(trace_sections(outcome.trace))
+    return out
 
 
 def _cmd_prove(args) -> int:

@@ -9,32 +9,36 @@ containers on a list instead and writes the common flat shapes in bulk:
 - scalars go through json's own helpers: encode_basestring_ascii for
   strings, int.__repr__ for ints, and true/false/null;
 - a list of scalars is one str.join;
-- a dict whose values are scalars or lists of scalars (a "record": the
-  trace's statements, steps and branches) is one %-format, built from its
-  sorted keys once per key tuple and nesting level; a list of records that
-  share one key tuple is one %-format of that format repeated.
+- a dict whose values are scalars or lists of scalars (a "record") is one
+  %-format, built from its sorted keys once per key tuple and nesting level.
 
 It writes only what the CLI's payloads hold: dicts with str keys, lists,
-tuples, str, int, bool and None, each of exactly that type.  Anything else
-(a float, a subclass, a non-str key) raises TypeError, and a container that
-contains itself raises ValueError, as in json.  Every cache is an lru_cache
-with a bound, and indentation is built when a level is first met, so a deep
-formula grows nothing without limit.
+tuples, str, int, bool and None, each of exactly that type, and Encoded text
+(the prover's trace), written as it is.  Anything else (a float, another
+subclass, a non-str key) raises TypeError, and a container that contains
+itself raises ValueError, as in json.  Every cache is an lru_cache with a
+bound, and indentation is built when a level is first met, so a deep formula
+grows nothing without limit.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache, partial
+from functools import lru_cache
 from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 
 INDENT = "  "
 
+
+class Encoded(str):
+    """JSON text, laid out for the level where it stands, written as it is."""
+
+
 # encoders of the scalars by exact type
 _SCALARS = {str: encode_basestring_ascii, int: int.__repr__,
             bool: {True: "true", False: "false"}.__getitem__,
-            type(None): {None: "null"}.__getitem__}
+            type(None): {None: "null"}.__getitem__, Encoded: str}
 _scalar = _SCALARS.__getitem__      # KeyError: not a scalar
 
 
@@ -68,19 +72,17 @@ def _scalar_list(level: int):
 
 @lru_cache(maxsize=128)
 def _field(level: int):
-    """type -> encoder of a record's value at level: a scalar or a list of
-    scalars."""
+    """type -> encoder of a record's value or a list's item at level: a
+    scalar or a list of scalars."""
     scalars = _scalar_list(level)
     return {**_SCALARS, list: scalars, tuple: scalars}.__getitem__
 
 
 @lru_cache(maxsize=128)
 def _record_format(level: int, keys: tuple):
-    """(format, getter, field encoders) of a dict with this key tuple at
-    level."""
+    """(format, getter, field encoders) of a non-empty dict with this key
+    tuple at level."""
     names = sorted(keys)
-    if not names:
-        return "{}", lambda d: (), _field(level + 1)
     inner = "\n" + INDENT * (level + 1)
     fmt = ("{" + inner + ("," + inner).join(
         _key(k).replace("%", "%%") + ": %s" for k in names)
@@ -96,36 +98,11 @@ def _record(d: dict, level: int) -> str:
     return fmt % tuple(map(_apply, map(field, map(type, values)), values))
 
 
-@lru_cache(maxsize=128)
-def _item(level: int):
-    """type -> encoder of a list item at level: a scalar, a record or a list
-    of scalars."""
-    scalars = _scalar_list(level)
-    return {**_SCALARS, dict: partial(_record, level=level),
-            list: scalars, tuple: scalars}.__getitem__
-
-
-def _records(v: list, level: int) -> str | None:
-    """The items of a list of dicts at level that share one key tuple, or
-    None if their key tuples differ."""
-    keys = tuple(v[0])
-    if not all(map(keys.__eq__, map(tuple, v))):
-        return None
-    fmt, getter, field = _record_format(level, keys)
-    values = list(chain.from_iterable(map(getter, v)))
-    sep = ",\n" + INDENT * level
-    return sep.join(repeat(fmt, len(v))) % tuple(
-        map(_apply, map(field, map(type, values)), values))
-
-
 def _list(v, level: int) -> str:
-    """A non-empty list at level whose items are all of flat shapes."""
+    """A non-empty list at level whose items are scalars or lists of
+    scalars."""
     inner = "\n" + INDENT * (level + 1)
-    if set(map(type, v)) == {dict}:
-        body = _records(v, level + 1)
-        if body is not None:
-            return "[" + inner + body + "\n" + INDENT * level + "]"
-    item = _item(level + 1)
+    item = _field(level + 1)
     return ("[" + inner + ("," + inner).join(map(_apply, map(item, map(type, v)), v))
             + "\n" + INDENT * level + "]")
 

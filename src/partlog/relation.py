@@ -86,6 +86,10 @@ class PairRelation:
     def __setattr__(self, *_):
         raise AttributeError("PairRelation is immutable")
 
+    def __reduce__(self):
+        # pickle and copy rebuild through the validating constructor
+        return PairRelation, (self.universe, self.matrix, self.kind)
+
     # -- constructors ------------------------------------------------------
 
     @classmethod

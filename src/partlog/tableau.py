@@ -32,6 +32,9 @@ statement ids keyed by their fields, each formula's F-graph, the formulas
 whose F-graph changed since its last F-transitivity pass, and the saturation
 and one-shot statements not yet expanded.  ``Branch.add`` is their one
 writer, and a child branch copies them with the statements.
+
+A trace's JSON comes as dicts (``outcome_to_json``) or as the CLI's text,
+written in one pass over the trace's records (``trace_sections``).
 """
 
 from __future__ import annotations
@@ -39,6 +42,7 @@ from __future__ import annotations
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from itertools import combinations, permutations
+from json.encoder import encode_basestring_ascii
 
 from .core import (
     InternalInvariantError, Partition, PartitionLogicError, _components,
@@ -47,6 +51,7 @@ from .formula import (
     Atom, Formula, Impl, Join, Meet, Nand, One, Zero, atoms_of, desugar,
     lower, to_text,
 )
+from .jsonout import Encoded
 from .semantics import (
     Assignment, canonical_universe, check_partition_tautology, eval_formula,
 )
@@ -785,6 +790,11 @@ def replay_trace(trace: ProofTrace):
             if b != step.branch:
                 raise VerificationFailed("conclusion recorded on wrong branch", idx)
             next_id += 1
+        if step.rule == "close" and step.premises:
+            # a contradiction: one formula at one pair, signed T and F
+            cited = [trace.statements[pid][0] for pid in step.premises]
+            if len(cited) != 2 or cited[0] != cited[1].opposite():
+                raise VerificationFailed("close cites no contradiction", idx)
         if step.rule in ("close", "lemma-close"):
             closed_on.add(step.branch)
     for b in range(len(trace.parents)):
@@ -797,8 +807,10 @@ def verify_outcome(f: Formula, outcome: ProverOutcome) -> bool:
     """Cross-check a prover outcome against the semantics.
 
     A countermodel must leave the root pair undistinguished when the formula
-    is evaluated under it; a proof must replay and must survive exhaustive
-    countermodel search on universes of size up to 3.
+    is evaluated under it.  A proof must be a proof of f: its first step is
+    the root step, whose conclusion is statement 0, (u0,u1):F desugar(f) on
+    branch 0 (a constant root adds no statement); it must replay and must
+    survive exhaustive countermodel search on universes of size up to 3.
     """
     if outcome.verdict == "countermodel":
         if outcome.assignment is None or outcome.pair is None:
@@ -810,8 +822,17 @@ def verify_outcome(f: Formula, outcome: ProverOutcome) -> bool:
         a, b = outcome.pair
         return a != b and value.same_block(a, b)
     if outcome.verdict == "proved":
+        trace, root = outcome.trace, desugar(f)
+        if isinstance(root, (One, Zero)):
+            start, conclusions = [], ()
+        else:
+            start, conclusions = [(stmt(0, 1, F, root), 0)], (0,)
+        if (trace is None or not trace.steps or trace.steps[0].rule != "root"
+                or tuple(trace.steps[0].conclusions) != conclusions
+                or trace.statements[:1] != start):
+            return False
         try:
-            replay_trace(outcome.trace)
+            replay_trace(trace)
         except VerificationFailed:
             return False
         return not check_partition_tautology(f, 3).is_countermodel
@@ -851,6 +872,37 @@ def trace_from_json(obj: dict) -> ProofTrace:
     steps = [TraceStep(s["rule"], tuple(s["premises"]), tuple(s["conclusions"]),
                        s["branch"]) for s in obj["steps"]]
     return ProofTrace(statements, parents, steps)
+
+
+# one %-format per record kind: an item of a top-level key's list
+_STATEMENT = ('{\n      "branch": %d,\n      "formula": %s,\n      "id": %d,\n'
+              '      "pair": [\n        "u%d",\n        "u%d"\n      ],\n'
+              '      "sign": "%s"\n    }')
+_STEP = ('{\n      "branch": %d,\n      "conclusions": %s,\n'
+         '      "premises": %s,\n      "rule": %s\n    }')
+_BRANCH = '{\n      "id": %d,\n      "parent": %d\n    }'
+
+
+def _ids(ids: tuple[int, ...]) -> str:
+    return "[\n        %s\n      ]" % ",\n        ".join(map(str, ids)) if ids else "[]"
+
+
+def _section(records: list[str]) -> Encoded:
+    return Encoded("[\n    %s\n  ]" % ",\n    ".join(records) if records else "[]")
+
+
+def trace_sections(trace: ProofTrace) -> dict[str, Encoded]:
+    """The "statements", "trace" and "branches" of outcome_to_json(...,
+    include_trace=True) as the JSON text of a top-level key's value, written
+    straight from the trace's records; each distinct formula is encoded once."""
+    texts: dict[Formula, str] = {}
+    return {
+        "statements": _section([_STATEMENT % (b, texts.get(s.formula) or texts.setdefault(
+            s.formula, encode_basestring_ascii(to_text(s.formula))), k, s.i, s.j, s.sign)
+            for k, (s, b) in enumerate(trace.statements)]),
+        "trace": _section([_STEP % (st.branch, _ids(st.conclusions), _ids(st.premises),
+                                    encode_basestring_ascii(st.rule)) for st in trace.steps]),
+        "branches": _section([_BRANCH % kp for kp in enumerate(trace.parents)])}
 
 
 def outcome_to_json(outcome: ProverOutcome, include_trace: bool = False) -> dict:

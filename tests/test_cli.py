@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 
 import pytest
 
@@ -324,6 +325,61 @@ class TestSameBytesAsJsonDumps:
             assert out == self.expected({"entropy": "%d/%d" % (h.numerator, h.denominator),
                                          "numerator": h.numerator,
                                          "denominator": h.denominator})
+
+
+class TestTraceWriter:
+    """prove --trace writes its statements, steps and branches straight from
+    the prover's records; the bytes are json.dumps(sort_keys=True, indent=2)
+    of the library's outcome_to_json(..., include_trace=True)."""
+
+    EXIT = {"proved": 0, "countermodel": 1, "unknown": 2}
+
+    def answer(self, capture, text, cfg=None, *argv):
+        outcome = prove(parse(text), cfg)
+        code, out, err = capture("prove", text, "--trace", *argv)
+        assert (code, err) == (self.EXIT[outcome.verdict], "")
+        assert out == TestSameBytesAsJsonDumps.expected(
+            outcome_to_json(outcome, include_trace=True))
+        return outcome, json.loads(out)
+
+    def test_perfbench_shape(self, capture):
+        # depth-4 formulas over s, t at the perfbench prove budgets
+        cfg = ProverConfig(max_elements=5, max_steps=300)
+        verdicts, long_unknowns = Counter(), 0
+        for f in formula_corpus(0, 60, max_depth=4, atom_names=("s", "t")):
+            outcome, _ = self.answer(capture, to_text(f), cfg, "--max-elements", "5",
+                                     "--max-steps", "300")
+            verdicts[outcome.verdict] += 1
+            long_unknowns += (outcome.verdict == "unknown"
+                              and len(outcome.trace.steps) >= 250)
+        assert min(verdicts["proved"], verdicts["countermodel"]) > 0
+        assert long_unknowns >= 10
+
+    def test_a_proof_without_statements(self, capture):
+        # the root 1 closes at once: no statement, and steps that cite nothing
+        _, doc = self.answer(capture, "1")
+        assert doc["statements"] == []
+        assert doc["trace"] == [
+            {"rule": "root", "premises": [], "conclusions": [], "branch": 0},
+            {"rule": "close", "premises": [], "conclusions": [], "branch": 0}]
+
+    def test_a_countermodel_without_steps(self, capture):
+        _, doc = self.answer(capture, "0")
+        assert (doc["statements"], doc["trace"]) == ([], [])
+        assert doc["branches"] == [{"id": 0, "parent": -1}]
+        assert doc["pair"] == ["u0", "u1"]
+
+    def test_a_countermodel_next_to_its_trace(self, capture):
+        _, doc = self.answer(capture, "((s => p) => s) => s")
+        assert set(doc) == {"schema", "verdict", "model", "pair", "trace",
+                            "statements", "branches"}
+        assert doc["model"]["bindings"]["p"] == [["u0", "u1", "u2"]]
+
+    def test_steps_with_and_without_premises_and_conclusions(self, capture):
+        outcome, doc = self.answer(capture, "s => s")
+        shapes = {(bool(st["premises"]), bool(st["conclusions"])) for st in doc["trace"]}
+        assert shapes == {(False, True), (True, True), (True, False)}
+        assert len(doc["statements"]) == len(outcome.trace.statements)
 
 
 # parses argv[1] through main in one interpreter

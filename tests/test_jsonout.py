@@ -9,8 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from partlog import jsonout
-from partlog.jsonout import INDENT, encode
+from partlog import jsonout, tableau
+from partlog.jsonout import INDENT, Encoded, encode
 
 
 def dumps(v) -> str:
@@ -107,6 +107,13 @@ def test_depth_costs_no_stack(kind):
     assert dumps(value) == "\n".join(lines)
 
 
+def test_encoded_text_is_written_as_it_is():
+    text = Encoded('[\n    "x",\n    1\n  ]')
+    for value in ({"a": text, "b": 2}, {"a": text, "b": {"c": [1]}}):
+        assert dumps(value) == reference({**value, "a": ["x", 1]})
+    assert dumps(Encoded("[]")) == "[]"
+
+
 def test_scalars_at_the_top():
     for value in ["x", "é\n", "", 0, -5, 10 ** 30, True, False, None]:
         assert dumps(value) == reference(value)
@@ -145,7 +152,15 @@ def cycles(graph) -> list:
 def test_no_function_in_jsonout_recurses():
     tree = ast.parse(Path(jsonout.__file__).read_text())
     graph = reference_graph(tree)
-    assert {"encode", "_record", "_records", "_list"} <= graph.keys()
+    assert {"encode", "_record", "_list"} <= graph.keys()
+    assert cycles(graph) == []
+
+
+def test_no_function_in_tableau_recurses():
+    # the trace writer runs over traces of any length
+    tree = ast.parse(Path(tableau.__file__).read_text())
+    graph = reference_graph(tree)
+    assert {"trace_sections", "_section", "_ids", "replay_trace"} <= graph.keys()
     assert cycles(graph) == []
 
 

@@ -6,8 +6,10 @@ matrix products below are the independent reference it is checked against;
 numpy is a test dependency only."""
 
 import ast
+import copy
 import glob
 import os
+import pickle
 import sys
 
 import numpy as np
@@ -80,6 +82,33 @@ def test_zero_links_give_the_diagonal_and_negative_links_raise():
     assert chain_bounded_closure(arcs, 1) == closure(arcs)
     with pytest.raises(ValueError):
         chain_bounded_closure(arcs, -3)
+
+
+U2 = Universe.of("a", "b")
+
+
+@pytest.mark.parametrize("relation", [
+    PairRelation.from_pairs(U2, [("a", "b")]),
+    indit(partlog.core.top(U2)),
+    dit(partlog.core.top(U2)),
+], ids=lambda r: r.kind.value)
+@pytest.mark.parametrize("copier", [
+    lambda r: pickle.loads(pickle.dumps(r)), copy.copy, copy.deepcopy,
+], ids=["pickle", "copy", "deepcopy"])
+def test_pickle_and_copy_round_trip(relation, copier):
+    again = copier(relation)
+    assert again == relation
+    assert again.kind is relation.kind
+    assert hash(again) == hash(relation)
+
+
+def test_unpickling_revalidates_the_kind():
+    # the kind is checked again on the way in, as in the constructor;
+    # protocol 2 writes the kind's value as "X", a 4-byte length and the text
+    forged = pickle.dumps(PairRelation.from_pairs(U2, [("a", "b")]), 2).replace(
+        b"X\x09\x00\x00\x00arbitrary", b"X\x0b\x00\x00\x00equivalence")
+    with pytest.raises(partlog.core.NotEquivalence):
+        pickle.loads(forged)
 
 
 # ---------------------------------------------------------------------------

@@ -12,12 +12,12 @@ from partlog.core import _components, top
 from partlog.corpus import formula_corpus
 from partlog.formula import Atom, desugar, parse, subformulas
 from partlog.semantics import (
-    Assignment, canonical_universe, check_partition_tautology, eval_formula,
+    Assignment, canonical_universe, check_partition_tautology, eval_formula, omega,
 )
 from partlog.tableau import (
     F, Branch, BranchClosed, BranchIncomplete, ProofTrace, ProverConfig,
-    ProverOutcome, SignedStatement, _Prover, extract_model, outcome_to_json,
-    prove, replay_trace, stmt, trace_to_json, verify_outcome,
+    ProverOutcome, SignedStatement, TraceStep, _Prover, extract_model,
+    outcome_to_json, prove, replay_trace, stmt, trace_to_json, verify_outcome,
     VerificationFailed,
 )
 
@@ -324,6 +324,58 @@ class TestVerifyOutcome:
         assert verify_outcome(MODUS_PONENS, fake) is False
         with pytest.raises(VerificationFailed):
             replay_trace(bad)
+
+    @pytest.mark.parametrize("other", [omega(3), parse("s")], ids=["omega3", "s"])
+    def test_a_proof_of_another_formula_fails(self, other):
+        out = prove(parse("(s /\\ (s => t)) => t"))
+        assert verify_outcome(parse("(s /\\ (s => t)) => t"), out) is True
+        assert verify_outcome(other, out) is False
+
+    def test_a_proof_must_start_from_its_root_step(self):
+        out = prove(MODUS_PONENS)
+        root, rest = out.trace.steps[0], out.trace.steps[1:]
+        for steps in ([], rest, [TraceStep("T-and", root.premises, root.conclusions, 0)]
+                      + rest):
+            fake = ProverOutcome("proved", ProofTrace(out.trace.statements,
+                                                      out.trace.parents, steps))
+            assert verify_outcome(MODUS_PONENS, fake) is False
+        assert verify_outcome(MODUS_PONENS, ProverOutcome("proved")) is False
+
+    def test_a_constant_root_proof_verifies(self):
+        out = prove(parse("1"))
+        assert out.trace.statements == []
+        assert verify_outcome(parse("1"), out) is True
+        assert verify_outcome(parse("s => s"), out) is False
+
+    @staticmethod
+    def two_premise_closes(trace):
+        return [k for k, st in enumerate(trace.steps)
+                if st.rule == "close" and len(st.premises) == 2]
+
+    @staticmethod
+    def forged(trace, k, premises):
+        steps = list(trace.steps)
+        steps[k] = TraceStep("close", premises, (), steps[k].branch)
+        return ProofTrace(trace.statements, trace.parents, steps)
+
+    def test_a_close_must_cite_a_contradiction(self):
+        # "s => s", and the first seed-0 depth-4 proof that closes on a pair
+        cfg = ProverConfig(5, 300)
+        deep = next((g, out) for g in formula_corpus(0, 200, max_depth=4,
+                                                     atom_names=("s", "t"))
+                    for out in [prove(g, cfg)]
+                    if out.verdict == "proved" and self.two_premise_closes(out.trace))
+        for f, out in ((parse("s => s"), prove(parse("s => s"))), deep):
+            closes = self.two_premise_closes(out.trace)
+            assert closes and verify_outcome(f, out) is True
+            k = closes[0]
+            a, b = out.trace.steps[k].premises
+            for premises in ((0, 0), (a, a), (0, b), (a,), (a, b, b)):
+                bad = self.forged(out.trace, k, premises)
+                with pytest.raises(VerificationFailed, match="contradiction"):
+                    replay_trace(bad)
+                assert verify_outcome(f, ProverOutcome("proved", bad)) is False
+            replay_trace(self.forged(out.trace, k, (b, a)))     # either order
 
 
 def _elements_of_statement(s: SignedStatement):
