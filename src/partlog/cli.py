@@ -4,11 +4,13 @@ Subcommands: parse, eval, check, prove, dual, transform, identities, entropy.
 Only prove loads the tableau; only identities loads the relation route.
 JSON goes to stdout with sorted keys and a "schema": "partlog/1" tag so golden
 files are byte-stable; human-readable errors go to stderr.  Every JSON command
-writes through jsonout, one explicit-stack writer whose bytes are exactly those
-of json.dumps(payload, sort_keys=True, indent=2): it writes scalars with json's
-own helpers, lists of scalars in one join and records through one %-format per
-key set and nesting level, and no depth of formula exhausts its stack; prove's
-trace reaches it as text written in one pass (tableau.trace_sections).
+writes through jsonout, whose bytes are exactly those of json.dumps(payload,
+sort_keys=True, indent=2): it writes every value from one explicit stack of
+open containers, scalars with json's own helpers, so no depth of formula
+exhausts its stack; prove's trace reaches it as text written in one pass
+(tableau.trace_sections).  A model file must be an object with a list of
+string labels as its universe and lists of lists of labels as its bindings;
+any other file exits 65.
 
 Exit codes: 0 success (tautology / proved for check and prove), 1 countermodel
 or failed identities, 2 prover gave up (unknown), 64 usage or parse error,
@@ -64,7 +66,7 @@ def _load_model(path: str):
         with open(path) as fh:
             obj = json.load(fh)
         return assignment_from_json(obj)
-    except (OSError, ValueError, KeyError, TypeError, PartitionLogicError) as exc:
+    except (OSError, ValueError, PartitionLogicError) as exc:
         raise _ModelFileError(str(exc)) from exc
     except RecursionError:      # json.load recurses on nested lists
         raise _ModelFileError("nested too deeply") from None
@@ -148,6 +150,8 @@ def _cmd_identities(args) -> int:
     env_seed = os.environ.get("PARTLOG_SEED")
     if env_seed is not None:
         seed = int(env_seed)
+    if args.max_n < 2:
+        raise ValueError("--max-n must be at least 2")
     ctx = SuiteContext(max_n=args.max_n, seed=seed)
     results = run_suite(ctx)
     passed = failed = 0

@@ -17,9 +17,11 @@ stay importable from here and are loaded on first use.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 class PartitionLogicError(Exception):
@@ -309,8 +311,10 @@ def logical_entropy(p: Partition) -> Fraction:
     """|dit(p)| / |U|^2: probability a random ordered pair is a distinction.
 
     The indistinctions are the pairs inside one block, so |dit(p)| is
-    |U|^2 minus the sum of the squared block sizes.
+    |U|^2 minus the sum of the squared block sizes.  Loads fractions on
+    first use, so importing the kernel does not.
     """
+    from fractions import Fraction
     n = p.universe.size
     return Fraction(n * n - sum(len(b) ** 2 for b in p.blocks), n * n)
 

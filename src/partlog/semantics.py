@@ -180,15 +180,19 @@ def _search(f: Formula, max_n: int, budget: int, weak: bool) -> CheckResult:
         raise ValueError("max_n must be at least 2")
     code = lower(f)
     names = sorted({x for op, x, _ in code if op is Atom})
-    total = sum(bell(n) ** len(names) for n in range(2, max_n + 1))
+    sizes = range(2, max_n + 1)
+    # an atom-free formula has one, empty, assignment per universe size, so
+    # its search counts and enumerates no partitions
+    total = sum(bell(n) ** len(names) for n in sizes) if names else len(sizes)
     if total > budget:
         raise BudgetExceeded(
             "search needs %d evaluations but the budget is %d" % (total, budget))
     ops = _partition_ops()
-    for n in range(2, max_n + 1):
+    for n in sizes:
         u = canonical_universe(n)
         t, b = top(u), bottom(u)
-        for combo in product(partitions_on(n), repeat=len(names)):
+        combos = product(partitions_on(n), repeat=len(names)) if names else ((),)
+        for combo in combos:
             env = dict(zip(names, combo))
             v = _run(code, env.__getitem__, b, t, ops)
             if (v == b) if weak else (v != t):
@@ -351,10 +355,29 @@ def assignment_to_json(a: Assignment) -> dict:
                          for name, p in sorted(a.bindings.items())}}
 
 
-def assignment_from_json(obj: dict) -> Assignment:
-    u = Universe(tuple(obj["universe"]))
-    return Assignment(u, {name: make_partition(u, blocks)
-                          for name, blocks in obj["bindings"].items()})
+def _labels(v, what: str) -> tuple[str, ...]:
+    """v as a tuple of labels, if it is a JSON list of strings."""
+    if type(v) is not list or any(type(x) is not str for x in v):
+        raise PartitionLogicError("%s must be a list of strings" % what)
+    return tuple(v)
+
+
+def assignment_from_json(obj) -> Assignment:
+    """The assignment a model file describes: {"universe": [label, ...],
+    "bindings": {name: [[label, ...], ...]}}.  Any other shape raises
+    PartitionLogicError, as does a binding that is not a partition of the
+    universe."""
+    if type(obj) is not dict or type(obj.get("bindings")) is not dict:
+        raise PartitionLogicError(
+            "a model is an object with a universe and a bindings object")
+    u = Universe(_labels(obj.get("universe"), "universe"))
+    bindings = {}
+    for name, blocks in obj["bindings"].items():
+        if type(blocks) is not list:
+            raise PartitionLogicError("binding %r must be a list of blocks" % name)
+        bindings[name] = make_partition(
+            u, [_labels(b, "each block of %r" % name) for b in blocks])
+    return Assignment(u, bindings)
 
 
 def check_result_to_json(r: CheckResult) -> dict:

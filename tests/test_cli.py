@@ -1,12 +1,17 @@
 """CLI: subcommands, exit codes, JSON schemas, and byte-stable output."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from partlog.cli import main
 from partlog.core import logical_entropy, partition_to_json
@@ -86,6 +91,27 @@ class TestEval:
         bad.write_text("{not json")
         assert capture("eval", "s", "--model", str(bad))[0] == 65
 
+    @pytest.mark.parametrize("model", [
+        {"universe": [1.5, 2.5], "bindings": {"s": [[1.5], [2.5]]}},
+        {"universe": ["a", "b"], "bindings": []},
+        {"universe": "ab", "bindings": {"s": [["a", "b"]]}},
+        {"universe": ["a", "b"], "bindings": {"s": "ab"}},
+        {"universe": ["a", "b"], "bindings": {"s": ["ab"]}},
+        {"universe": [True, None], "bindings": {"s": [[True, None]]}},
+        {"universe": ["a", "b"], "bindings": {"s": [["a", 1], ["b"]]}},
+        {"universe": ["a", "b"]},
+        {"bindings": {}},
+        ["a", "b"],
+        "ab",
+    ])
+    @pytest.mark.parametrize("argv", [["eval", "s"], ["entropy", "--atom", "s"]])
+    def test_model_of_the_wrong_shape_exits_65(self, capture, tmp_path, model, argv):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(model))
+        code, out, err = capture(*argv, "--model", str(bad))
+        assert (code, out) == (65, "")
+        assert "bad model file" in err
+
     @pytest.mark.parametrize("argv", [["eval", "s"], ["entropy", "--atom", "s"]])
     def test_deeply_nested_model_exits_65(self, capture, tmp_path, argv):
         # json.load raises RecursionError on this file; it is a bad model
@@ -114,6 +140,24 @@ class TestCheck:
         code, out, _ = capture("check", "s \\/ ~s", "--weak", "--max-n", "3")
         assert code == 0
         assert json.loads(out)["verdict"] == "weak_tautology_up_to"
+
+    @pytest.mark.parametrize("argv, want", [
+        (["1"], ("tautology_up_to", 0)),
+        (["0 => 1", "--weak"], ("weak_tautology_up_to", 0)),
+        (["0"], ("countermodel", 1)),
+    ])
+    def test_atom_free_formula_enumerates_no_partitions(self, capture, monkeypatch,
+                                                        argv, want):
+        # one empty assignment per universe size, even up to 200 elements
+        import partlog.semantics as semantics
+
+        def refuse(n):
+            raise AssertionError("called for n = %d" % n)
+
+        monkeypatch.setattr(semantics, "partitions_on", refuse)
+        monkeypatch.setattr(semantics, "bell", refuse)
+        code, out, _ = capture("check", *argv, "--max-n", "200")
+        assert (json.loads(out)["verdict"], code) == want
 
     def test_budget_exit_64(self, capture):
         code, _, err = capture("check", "s \\/ t \\/ p", "--max-n", "4",
@@ -201,6 +245,65 @@ class TestDualTransform:
         assert out.strip() == "(s => q) \\/ ((s => q) => q)"
 
 
+ANY_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(["s", "t", "universe", "bindings"]), inner,
+                      max_size=3),
+    max_leaves=10)
+
+
+def partitions_of(u):
+    return st.lists(st.integers(0, len(u) - 1), min_size=len(u), max_size=len(u)).map(
+        lambda ix: [[x for x, i in zip(u, ix) if i == k] for k in sorted(set(ix))])
+
+
+def models_on(u):
+    bindings = st.fixed_dictionaries({"s": partitions_of(u), "t": partitions_of(u)})
+    return st.fixed_dictionaries({"universe": st.just(u), "bindings": bindings})
+
+
+VALID_MODELS = st.lists(st.sampled_from("abcd"), min_size=2, max_size=4,
+                        unique=True).flatmap(models_on)
+
+
+def relabel(model, labels):
+    """model with each label x written as labels.get(x, x) throughout."""
+    return {"universe": [labels.get(x, x) for x in model["universe"]],
+            "bindings": {name: [[labels.get(x, x) for x in b] for b in blocks]
+                         for name, blocks in model["bindings"].items()}}
+
+
+MODELS = (VALID_MODELS
+          # floats, ints, bools, None or repeated labels in place of strings
+          | st.builds(relabel, VALID_MODELS, st.dictionaries(
+              st.sampled_from("abcd"),
+              st.sampled_from(["a", "b", "", 0, 1, 1.5, True, None]), max_size=2))
+          # one field of the wrong shape
+          | st.builds(lambda m, key, v: {**m, key: v}, VALID_MODELS,
+                      st.sampled_from(["universe", "bindings"]), ANY_JSON)
+          | st.builds(lambda m, v: {**m, "bindings": {**m["bindings"], "s": v}},
+                      VALID_MODELS, ANY_JSON | st.lists(ANY_JSON, max_size=3))
+          | ANY_JSON)
+
+
+@settings(max_examples=300, deadline=None)
+@given(MODELS)
+def test_any_model_file_exits_0_or_65(model):
+    # the wrong shapes, floats and non-string labels included: a model file
+    # is either read or refused as a bad model file, never an internal error
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "model.json")
+        with open(path, "w") as fh:
+            json.dump(model, fh)
+        for argv in (["eval", "s => t", "--model", path],
+                     ["entropy", "--model", path, "--atom", "s"]):
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()) as err:
+                code = main(argv)
+            assert code in (0, 65), (model, argv, code, err.getvalue())
+
+
 class TestEntropy:
     def test_example_value(self, capture, model_file):
         code, out, _ = capture("entropy", "--model", model_file, "--atom", "s")
@@ -222,6 +325,12 @@ class TestIdentities:
                                env={"PARTLOG_SEED": "7"})
         assert code == 0
         assert "seed=7" in out
+
+    @pytest.mark.parametrize("max_n", ["-1", "0", "1"])
+    def test_max_n_below_two_exits_64(self, capture, max_n):
+        code, out, err = capture("identities", "--max-n", max_n)
+        assert (code, out) == (64, "")
+        assert "--max-n must be at least 2" in err
 
     def test_failing_entry_exits_one(self, capture, monkeypatch):
         import partlog.identities as identities

@@ -152,7 +152,7 @@ def cycles(graph) -> list:
 def test_no_function_in_jsonout_recurses():
     tree = ast.parse(Path(jsonout.__file__).read_text())
     graph = reference_graph(tree)
-    assert {"encode", "_record", "_list"} <= graph.keys()
+    assert "encode" in graph
     assert cycles(graph) == []
 
 

@@ -73,6 +73,25 @@ def test_commands_other_than_prove_never_load_the_tableau(tmp_path, argv, want):
     assert _fresh(COMMAND, str(tmp_path), str(want), *argv) == "False"
 
 
+# Runs check in a fresh interpreter and prints whether fractions was loaded
+# after importing partlog.core and after the command.
+NO_FRACTIONS = r"""
+import contextlib, io, sys
+import partlog.core
+loaded = ["fractions" in sys.modules]
+from partlog.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    assert main(["check", "s => s", "--max-n", "3"]) == 0
+loaded.append("fractions" in sys.modules)
+print(loaded)
+"""
+
+
+def test_core_and_check_never_load_fractions():
+    # only logical_entropy needs it, and it loads it on first use
+    assert _fresh(NO_FRACTIONS) == "[False, False]"
+
+
 def test_prove_loads_the_tableau(tmp_path):
     argv = ["prove", "s => s", "--trace", "--max-steps", "300"]
     assert _fresh(COMMAND, str(tmp_path), "0", *argv) == "True"
