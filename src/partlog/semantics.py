@@ -180,13 +180,23 @@ def _search(f: Formula, max_n: int, budget: int, weak: bool) -> CheckResult:
         raise ValueError("max_n must be at least 2")
     code = lower(f)
     names = sorted({x for op, x, _ in code if op is Atom})
-    sizes = range(2, max_n + 1)
-    # an atom-free formula has one, empty, assignment per universe size, so
-    # its search counts and enumerates no partitions
-    total = sum(bell(n) ** len(names) for n in sizes) if names else len(sizes)
+    # the budget bounds the full grid, bell(n) ** len(names) assignments per
+    # size (one, empty, without atoms); the count stops once it passes it
+    if names:
+        total = 0
+        for n in range(2, max_n + 1):
+            total += bell(n) ** len(names)
+            if total > budget:
+                break
+    else:
+        total = max_n - 1
     if total > budget:
         raise BudgetExceeded(
-            "search needs %d evaluations but the budget is %d" % (total, budget))
+            "search needs more than its budget of %d evaluations" % budget)
+    # an atom-free program sees only 0 and 1, on which the primitives act as
+    # truth values at every size (the reduction principle), so its one, empty,
+    # assignment on two elements decides every size
+    sizes = range(2, max_n + 1) if names else (2,)
     ops = _partition_ops()
     for n in sizes:
         u = canonical_universe(n)

@@ -28,10 +28,11 @@ by Python's recursion limit.
 
 The agenda and the saturation rules read indexes that each branch keeps over
 its statements, so a step touches what changed and not every statement:
-statement ids keyed by their fields, each formula's F-graph, the formulas
-whose F-graph changed since its last F-transitivity pass, and the saturation
-and one-shot statements not yet expanded.  ``Branch.add`` is their one
-writer, and a child branch copies them with the statements.
+each formula's F-graph, the formulas whose F-graph changed since its last
+F-transitivity pass, and the saturation and one-shot statements not yet
+expanded.  ``Branch.add`` is their one writer, and a child branch copies them
+with the statements.  A statement is the tuple (i, j, sign, formula), so the
+statement map itself answers a lookup by fields.
 
 A trace's JSON comes as dicts (``outcome_to_json``) or as the CLI's text,
 written in one pass over the trace's records (``trace_sections``).
@@ -43,6 +44,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass, field
 from itertools import combinations, permutations
 from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 
 from .core import (
     InternalInvariantError, Partition, PartitionLogicError, _components,
@@ -73,54 +75,40 @@ class VerificationFailed(PartitionLogicError):
 
 
 T, F = "T", "F"
-_set = object.__setattr__
 
 
-class SignedStatement:
-    """A signed formula at an unordered pair of distinct elements.
+class SignedStatement(tuple):
+    """A signed formula at an unordered pair of distinct elements, the tuple
+    (i, j, sign, formula).
 
     Pairs are stored canonically with i < j; symmetry of dit and indit sets
     makes (i,j) and (j,i) the same statement, so the symmetry rules hold by
-    representation.  A statement is an immutable value, equal to any
-    statement with the same fields; its hash is computed once, as the prover
-    looks statements up at every step.
+    representation.  A statement is an immutable tuple: it equals, and hashes
+    like, the plain tuple of its fields, so a branch answers a lookup by
+    (i, j, sign, formula) without building a statement.
     """
 
-    __slots__ = ("i", "j", "sign", "formula", "_hash")
+    __slots__ = ()
     __match_args__ = ("i", "j", "sign", "formula")
 
-    def __init__(self, i: int, j: int, sign: str, formula: Formula):
+    def __new__(cls, i: int, j: int, sign: str, formula: Formula):
         if not i < j:
             raise ValueError("statement pair must be canonical (i < j)")
         if sign not in (T, F):
             raise ValueError("sign must be T or F")
-        _set(self, "i", i)
-        _set(self, "j", j)
-        _set(self, "sign", sign)
-        _set(self, "formula", formula)
-        _set(self, "_hash", hash((i, j, sign, formula)))
+        return tuple.__new__(cls, (i, j, sign, formula))
 
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __eq__(self, other):
-        if other.__class__ is not SignedStatement:
-            return NotImplemented
-        return (self._hash == other._hash and self.i == other.i
-                and self.j == other.j and self.sign == other.sign
-                and self.formula == other.formula)
-
-    def __setattr__(self, name, value=None):
-        raise AttributeError("cannot assign to field %r" % name)
-
-    __delattr__ = __setattr__
+    i = property(itemgetter(0))
+    j = property(itemgetter(1))
+    sign = property(itemgetter(2))
+    formula = property(itemgetter(3))
 
     def __reduce__(self):
-        return SignedStatement, (self.i, self.j, self.sign, self.formula)
+        # rebuild through the checks of __new__
+        return SignedStatement, tuple(self)
 
     def __repr__(self) -> str:
-        return "SignedStatement(i=%r, j=%r, sign=%r, formula=%r)" % (
-            self.i, self.j, self.sign, self.formula)
+        return "SignedStatement(i=%r, j=%r, sign=%r, formula=%r)" % self
 
     def opposite(self) -> "SignedStatement":
         return SignedStatement(self.i, self.j, T if self.sign == F else F, self.formula)
@@ -179,13 +167,12 @@ class Branch:
     """One branch of the tableau: its statements, stage size, and done-marks,
     with indexes over the statements.
 
-    ``statements`` maps each statement to its global id (insertion ordered);
+    ``statements`` maps each statement to its global id (insertion ordered),
+    and a plain (i, j, sign, formula) tuple finds its statement there;
     ``processed`` marks connective statements whose rule has fired ("checked
     once").  ``add`` is the one writer of ``statements``, and it keeps these
     indexes up to date, so the prover touches only what changed:
 
-    - ``ids``: each statement's id keyed by its fields (i, j, sign, formula),
-      so a lookup builds no statement;
     - ``f_graphs``: per formula, in order of first appearance, the pairs of
       its F-statements, in the order they were added;
     - ``f_dirty``: the formulas whose F-graph changed since their last
@@ -205,8 +192,6 @@ class Branch:
     statements: dict[SignedStatement, int] = field(default_factory=dict)
     processed: set[SignedStatement] = field(default_factory=set)
     closed: bool = False
-    ids: dict[tuple[int, int, str, Formula], int] = field(
-        init=False, repr=False, compare=False)
     f_graphs: dict[Formula, tuple[tuple[int, int], ...]] = field(
         init=False, repr=False, compare=False)
     f_dirty: set[Formula] = field(init=False, repr=False, compare=False)
@@ -217,7 +202,7 @@ class Branch:
 
     def __post_init__(self):
         statements, self.statements = self.statements, {}
-        self.ids, self.f_graphs, self.f_dirty = {}, {}, set()
+        self.f_graphs, self.f_dirty = {}, set()
         self.unsaturated, self.one_shot = [], {}
         for s, sid in statements.items():
             self.add(s, sid)
@@ -229,7 +214,6 @@ class Branch:
         """Record a new statement with its id, and index it."""
         self.statements[s] = sid
         f = s.formula
-        self.ids[s.i, s.j, s.sign, f] = sid
         if s.sign == F:
             self.f_graphs[f] = self.f_graphs.get(f, ()) + ((s.i, s.j),)
             self.f_dirty.add(f)
@@ -257,15 +241,15 @@ class Branch:
             return sign == T
         if isinstance(f, Zero):
             return sign == F
-        return ((i, j, sign, f) if i < j else (j, i, sign, f)) in self.ids
+        return ((i, j, sign, f) if i < j else (j, i, sign, f)) in self.statements
 
     def child(self, new_id: int) -> "Branch":
         # the graphs' tuples are never written in place, so they are shared
         c = object.__new__(Branch)
         c.__dict__.update(
             self.__dict__, id=new_id, statements=dict(self.statements),
-            processed=set(self.processed), ids=dict(self.ids),
-            f_graphs=dict(self.f_graphs), f_dirty=set(self.f_dirty),
+            processed=set(self.processed), f_graphs=dict(self.f_graphs),
+            f_dirty=set(self.f_dirty),
             unsaturated=list(self.unsaturated), one_shot=dict(self.one_shot))
         return c
 
@@ -427,7 +411,7 @@ class _Prover:
             self.trace.statements.append((s, br.id))
             br.add(s, sid)
             new_ids.append(sid)
-            twin = br.ids.get((s.i, s.j, T if sign == F else F, f))
+            twin = br.statements.get((s.i, s.j, T if sign == F else F, f))
             if twin is not None:
                 closing = (twin, sid)
         if new_ids or closing is not None:
@@ -465,7 +449,7 @@ class _Prover:
         for f in _dirty_formulas(br):
             additions = [(i, j, F, f) for i, j in _f_gaps(br, f)]
             if additions:
-                premises = tuple(br.ids[i, j, F, f] for i, j in br.f_graphs[f])
+                premises = tuple(br.statements[i, j, F, f] for i, j in br.f_graphs[f])
                 changed |= self._apply(br, "F-transitivity", premises, additions)
             br.f_dirty.discard(f)
             if br.closed:

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 from collections import Counter
 
 import pytest
@@ -148,7 +149,7 @@ class TestCheck:
     ])
     def test_atom_free_formula_enumerates_no_partitions(self, capture, monkeypatch,
                                                         argv, want):
-        # one empty assignment per universe size, even up to 200 elements
+        # one empty assignment decides every size, even up to 200 elements
         import partlog.semantics as semantics
 
         def refuse(n):
@@ -164,6 +165,33 @@ class TestCheck:
                                "--budget", "10")
         assert code == 64
         assert "budget" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["s", "--max-n", "600"], ["s", "--max-n", "3000"],
+        ["s", "--max-n", "99999999999999999999"],
+        ["1", "--max-n", "99999999999999999999"],
+    ])
+    def test_far_over_budget_exits_64_at_once(self, capture, argv):
+        start = time.perf_counter()
+        code, out, err = capture("check", *argv)
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (64, "")
+        assert "more than its budget of 10000000" in err
+
+    @pytest.mark.parametrize("argv, code, want", [
+        (["1"], 0, {"verdict": "tautology_up_to"}),
+        (["1", "--weak"], 0, {"verdict": "weak_tautology_up_to"}),
+        (["0"], 1, {"verdict": "countermodel", "bindings": {},
+                    "evaluated": [["u0", "u1"]], "pair": ["u0", "u1"],
+                    "universe": ["u0", "u1"]}),
+    ])
+    def test_atom_free_check_decides_on_two_elements(self, capture, argv, code,
+                                                     want):
+        start = time.perf_counter()
+        got = capture("check", *argv, "--max-n", "3000")
+        assert time.perf_counter() - start < 1.0
+        want = dict(want, max_n=3000, schema="partlog/1")
+        assert got == (code, json.dumps(want, indent=2, sort_keys=True) + "\n", "")
 
 
 class TestProve:

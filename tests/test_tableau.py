@@ -1,7 +1,9 @@
 """Tableau prover: worked proofs, countermodels, model extraction, verification."""
 
+import copy
 import hashlib
 import json
+import pickle
 import sys
 import time
 from collections import Counter
@@ -161,6 +163,63 @@ class TestBranchPredicates:
             SignedStatement(0, 1, "X", Atom("s"))
 
 
+class TestSignedStatement:
+    """A statement is the validated tuple (i, j, sign, formula)."""
+
+    IMPL = desugar(parse("s => t"))
+
+    def test_a_plain_tuple_finds_the_statement_in_a_branch(self):
+        s = stmt(0, 1, "T", self.IMPL)
+        br = Branch(root=self.IMPL, n_elements=2, statements={s: 7})
+        assert br.statements[0, 1, "T", self.IMPL] == 7
+        assert (0, 1, "F", self.IMPL) not in br.statements
+        assert br.holds(1, 0, "T", self.IMPL)
+
+    def test_equals_and_hashes_like_its_field_tuple(self):
+        s = stmt(1, 0, "F", self.IMPL)
+        assert s == (0, 1, "F", self.IMPL) and (0, 1, "F", self.IMPL) == s
+        assert hash(s) == hash((0, 1, "F", self.IMPL))
+        assert s != (0, 1, "T", self.IMPL)
+        assert (s.i, s.j, s.sign, s.formula) == (0, 1, "F", self.IMPL)
+
+    @pytest.mark.parametrize("copier", [
+        lambda s: pickle.loads(pickle.dumps(s)), copy.copy, copy.deepcopy,
+    ], ids=["pickle", "copy", "deepcopy"])
+    def test_pickle_and_copy_round_trip(self, copier):
+        s = stmt(0, 2, "T", self.IMPL)
+        back = copier(s)
+        assert type(back) is SignedStatement
+        assert back == s and hash(back) == hash(s)
+        assert back.formula is self.IMPL
+
+    def test_unpickling_validates(self):
+        forged = pickle.dumps(stmt(0, 1, "T", Atom("s")), 0).replace(b"I0\n", b"I5\n")
+        with pytest.raises(ValueError):
+            pickle.loads(forged)
+
+    @pytest.mark.parametrize("act", [
+        lambda s: setattr(s, "i", 5), lambda s: setattr(s, "formula", Atom("t")),
+        lambda s: setattr(s, "extra", 1), lambda s: delattr(s, "sign"),
+    ], ids=["assign-i", "assign-formula", "new-attribute", "delete-sign"])
+    def test_fields_are_read_only(self, act):
+        s = stmt(0, 1, "T", Atom("s"))
+        with pytest.raises(AttributeError):
+            act(s)
+        assert s == (0, 1, "T", Atom("s"))
+
+    def test_repr_match_and_opposite(self):
+        s = stmt(0, 1, "T", Atom("s"))
+        assert repr(s) == ("SignedStatement(i=0, j=1, sign='T', "
+                           "formula=Atom(name='s'))")
+        match s:
+            case SignedStatement(i, j, sign, f):
+                assert (i, j, sign, f) == (0, 1, "T", Atom("s"))
+            case _:
+                pytest.fail("no match")
+        assert s.opposite() == stmt(0, 1, "F", Atom("s"))
+        assert type(s.opposite()) is SignedStatement
+
+
 class TestWorklist:
     def test_pending_reports_owed_rules_and_drains_on_completion(self):
         root = desugar(parse("s \\/ t"))
@@ -198,8 +257,6 @@ class TestBranchIndexes:
                 graphs.setdefault(s.formula, []).append((s.i, s.j))
         assert {f: list(p) for f, p in br.f_graphs.items()} == graphs
         assert list(br.f_graphs) == list(graphs)   # first appearance
-        assert br.ids == {(s.i, s.j, s.sign, s.formula): sid
-                          for s, sid in br.statements.items()}
         for f, pairs in graphs.items():
             comp = _components(br.n_elements, pairs)
             assert br.f_components(f) == comp
@@ -228,6 +285,30 @@ class TestBranchIndexes:
         for f in formula_corpus(seed=5, count=40, max_depth=3):
             prove(f, ProverConfig(max_elements=5, max_steps=2000))
         assert seen["split"] and seen["closed"] and seen["open"]
+
+    @pytest.mark.parametrize("act", ["add", "mark", "saturate"])
+    def test_a_child_shares_no_mutable_index_with_its_parent(self, act):
+        s, t = Atom("s"), Atom("t")
+        s_or_t, p_or_q = desugar(parse("s \\/ t")), desugar(parse("p \\/ q"))
+        # an unexpanded F-or, an unmarked T-or and an F-graph with a gap
+        parent = Branch(root=s_or_t, n_elements=3, statements={
+            stmt(0, 1, F, s_or_t): 0, stmt(0, 2, "T", p_or_q): 1,
+            stmt(0, 2, F, s): 2, stmt(1, 2, F, s): 3})
+        names = ("statements", "processed", "f_graphs", "f_dirty",
+                 "unsaturated", "one_shot")
+        before = {name: copy.deepcopy(getattr(parent, name)) for name in names}
+        child = parent.child(1)
+        if act == "add":
+            for k, new in enumerate([stmt(1, 2, F, t), stmt(1, 2, "T", p_or_q),
+                                     stmt(1, 2, F, s_or_t)]):
+                child.add(new, 4 + k)
+        elif act == "mark":
+            child.mark(stmt(0, 2, "T", p_or_q))
+        else:
+            _Prover(s_or_t, ProverConfig())._saturate(child)
+        assert any(getattr(child, name) != before[name] for name in names)
+        for name in names:
+            assert getattr(parent, name) == before[name], name
 
 
 class TestRecursionLimit:
