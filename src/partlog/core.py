@@ -336,13 +336,6 @@ def enumerate_partitions(u: Universe) -> Iterator[Partition]:
         yield Partition(u, rgs)
 
 
-def atoms(u: Universe) -> Iterator[Partition]:
-    """The atoms of the partition lattice: the two-block (binary) partitions."""
-    for p in enumerate_partitions(u):
-        if p.n_blocks == 2:
-            yield p
-
-
 def modular_atom(u: Universe, label: str) -> Partition:
     """The binary partition separating one element from the rest of U."""
     rest = [el for el in u.elements if el != label]

@@ -1,17 +1,25 @@
 """The full identity and invariant suite, runnable as one deterministic batch.
 
 Every algebraic law and cross-module invariant lives here as a named entry;
-``run_suite`` executes them and reports per-entry pass/fail with check counts.
-Exhaustive entries sweep all partitions on universes up to the context's
-``max_n``; sampled entries draw from a seeded generator so runs are
+``run_suite`` executes them in registration order and reports per-entry
+pass/fail with check counts.  Sampled entries draw from a generator seeded
+by the context's seed plus a fixed per-entry offset, so runs are
 reproducible.
+
+Most entries are laws over tuples of partitions, registered with ``_law``:
+the law ``law(*ps)`` is called on every ``arity``-tuple of
+``partitions_on(n)``, in ``itertools.product`` order, for each size n of
+the entry (2..min(hi, max_n), or min(hi, max_n) alone), and then, when
+``max_n >= 5``, on its seeded draws at |U| = 5.  A law asserts its identity
+and returns its number of checks, ``None`` counting one; the entry's count
+is the sum.  The other entries take the context and count their own checks.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import product
+from itertools import chain, combinations, product
 
 from . import core
 from .core import (
@@ -64,10 +72,6 @@ def _entry(name):
     return wrap
 
 
-def suite_names() -> list[str]:
-    return [name for name, _ in _ENTRIES]
-
-
 def run_suite(ctx: SuiteContext, names: list[str] | None = None) -> list[SuiteResult]:
     results = []
     for name, fn in _ENTRIES:
@@ -81,32 +85,42 @@ def run_suite(ctx: SuiteContext, names: list[str] | None = None) -> list[SuiteRe
     return results
 
 
-def _all_pairs(n):
-    parts = partitions_on(n)
-    return product(parts, parts)
-
-
 def _sample_partition(rng: random.Random, n: int):
     parts = partitions_on(n)
     return parts[rng.randrange(len(parts))]
+
+
+def _law(name, arity, hi=4, one_size=False, sample=None):
+    """Register law as the entry name, run as the module docstring says:
+    exhaustively over sizes up to hi (hi=None: up to max_n), and, given
+    sample = (seed offset, count, arity), on count seeded draws at |U| = 5."""
+    def wrap(law):
+        @_entry(name)
+        def run(ctx):
+            sizes = (min(hi, ctx.max_n),) if one_size else ctx.sizes(hi=hi)
+            cases = chain.from_iterable(
+                product(partitions_on(n), repeat=arity) for n in sizes)
+            if sample is not None and ctx.max_n >= 5:
+                offset, count, k = sample
+                rng = random.Random(ctx.seed + offset)
+                cases = chain(cases, ([_sample_partition(rng, 5) for _ in range(k)]
+                                      for _ in range(count)))
+            return sum(1 if c is None else c for c in (law(*ps) for ps in cases))
+        return law
+    return wrap
 
 
 # ---------------------------------------------------------------------------
 # partition-core
 # ---------------------------------------------------------------------------
 
-@_entry("core/open-closed-fixpoints")
-def _fixpoints(ctx):
-    checks = 0
-    for n in ctx.sizes():
-        full = PairRelation.full(canonical_universe(n))
-        for p in partitions_on(n):
-            assert interior(dit(p)) == dit(p)
-            assert closure(indit(p)) == indit(p)
-            assert dit(p).union(indit(p)) == full
-            assert dit(p).intersection(indit(p)).count == 0
-            checks += 4
-    return checks
+@_law("core/open-closed-fixpoints", 1, hi=None)
+def _fixpoints(p):
+    assert interior(dit(p)) == dit(p)
+    assert closure(indit(p)) == indit(p)
+    assert dit(p).union(indit(p)) == PairRelation.full(p.universe)
+    assert dit(p).intersection(indit(p)).count == 0
+    return 4
 
 
 @_entry("core/interior-lemma")
@@ -125,14 +139,9 @@ def _interior_lemma(ctx):
     return checks
 
 
-@_entry("core/join-dits-are-union")
-def _join_union(ctx):
-    checks = 0
-    for n in ctx.sizes(hi=4):
-        for s, p in _all_pairs(n):
-            assert dit(join(s, p)) == dit(s).union(dit(p))
-            checks += 1
-    return checks
+@_law("core/join-dits-are-union", 2)
+def _join_union(s, p):
+    assert dit(join(s, p)) == dit(s).union(dit(p))
 
 
 @_entry("core/common-dits")
@@ -147,82 +156,44 @@ def _common_dits(ctx):
     return checks
 
 
-@_entry("core/implication-two-routes")
-def _implication_routes(ctx):
-    checks = 0
-    for n in ctx.sizes(hi=4):
-        for s, p in _all_pairs(n):
-            by_dits = from_equivalence(
-                closure(dit(s).complement().union(dit(p)).complement()))
-            assert implies(s, p) == by_dits
-            checks += 1
-    return checks
+@_law("core/implication-two-routes", 2)
+def _implication_routes(s, p):
+    by_dits = from_equivalence(
+        closure(dit(s).complement().union(dit(p)).complement()))
+    assert implies(s, p) == by_dits
 
 
-@_entry("core/implication-adjunction")
-def _adjunction(ctx):
-    checks = 0
-    for n in ctx.sizes(hi=4):
-        parts = partitions_on(n)
-        for s in parts:
-            for p in parts:
-                imp = implies(s, p)
-                dp = dit(p)
-                for t in parts:
-                    lhs = dit(t).intersection(dit(s)).is_subset_of(dp)
-                    assert lhs == refines(t, imp)
-                    checks += 1
-    return checks
+@_law("core/implication-adjunction", 3)
+def _adjunction(s, p, t):
+    lhs = dit(t).intersection(dit(s)).is_subset_of(dit(p))
+    assert lhs == refines(t, implies(s, p))
 
 
-@_entry("core/chain-length-bounds")
-def _chain_bounds(ctx):
-    checks = 0
-    for n in ctx.sizes(hi=5):
-        for s, p in _all_pairs(n):
-            arcs = dit(s).intersection(indit(p))
-            assert chain_bounded_closure(arcs, 2) == closure(arcs), "implies cap"
-            arcs = dit(s).intersection(dit(p))
-            assert chain_bounded_closure(arcs, 4) == closure(arcs), "nand cap"
-            checks += 2
-    return checks
+@_law("core/chain-length-bounds", 2, hi=5)
+def _chain_bounds(s, p):
+    arcs = dit(s).intersection(indit(p))
+    assert chain_bounded_closure(arcs, 2) == closure(arcs), "implies cap"
+    arcs = dit(s).intersection(dit(p))
+    assert chain_bounded_closure(arcs, 4) == closure(arcs), "nand cap"
+    return 2
 
 
-@_entry("core/orthogonality")
-def _orthogonality(ctx):
-    checks = 0
-    for n in ctx.sizes(hi=4):
-        t = top(canonical_universe(n))
-        for f, g in _all_pairs(n):
-            lhs = join(neg(f), neg(g)) == t
-            rhs = nand(f, g) == t
-            assert lhs == rhs
-            checks += 1
-    return checks
+@_law("core/orthogonality", 2)
+def _orthogonality(f, g):
+    t = top(f.universe)
+    assert (join(neg(f), neg(g)) == t) == (nand(f, g) == t)
 
 
-@_entry("core/refinement-sandwich")
-def _sandwich(ctx):
-    checks = 0
-    for n in ctx.sizes(hi=4):
-        for s, t in _all_pairs(n):
-            assert refines(join(neg(s), neg(t)), nand(s, t))
-            assert refines(nand(s, t), neg(meet(s, t)))
-            checks += 2
-    return checks
+@_law("core/refinement-sandwich", 2)
+def _sandwich(s, t):
+    assert refines(join(neg(s), neg(t)), nand(s, t))
+    assert refines(nand(s, t), neg(meet(s, t)))
+    return 2
 
 
-@_entry("core/weak-demorgan")
-def _weak_demorgan(ctx):
-    checks = 0
-    for n in ctx.sizes(hi=4):
-        parts = partitions_on(n)
-        for s in parts:
-            for t in parts:
-                for p in parts:
-                    assert pi_neg(join(s, t), p) == meet(pi_neg(s, p), pi_neg(t, p))
-                    checks += 1
-    return checks
+@_law("core/weak-demorgan", 3)
+def _weak_demorgan(s, t, p):
+    assert pi_neg(join(s, t), p) == meet(pi_neg(s, p), pi_neg(t, p))
 
 
 @_entry("core/modular-atom-nand-coatom")
@@ -252,34 +223,28 @@ def _table_relation(table, s, t) -> PairRelation:
     return rel
 
 
-@_entry("core/graph-op-two-routes")
-def _graph_op_routes(ctx):
+_TABLES = [BoolOpTable.from_value(v) for v in range(16)]
+
+
+@_law("core/graph-op-two-routes", 2)
+def _graph_op_routes(s, t):
     """graph_op against the interior route: dit(result) = int(R), so the
     result's blocks are the classes of closure(R^c)."""
-    tables = [BoolOpTable.from_value(v) for v in range(16)]
-    checks = 0
-    for n in ctx.sizes(hi=4):
-        for s, t in _all_pairs(n):
-            for table in tables:
-                by_dits = from_equivalence(
-                    closure(_table_relation(table, s, t).complement()))
-                assert graph_op(table, s, t) == by_dits, table
-                checks += 1
-    return checks
+    for table in _TABLES:
+        by_dits = from_equivalence(
+            closure(_table_relation(table, s, t).complement()))
+        assert graph_op(table, s, t) == by_dits, table
+    return len(_TABLES)
 
 
-@_entry("core/dual-algebra-dualities")
-def _dual_algebra(ctx):
-    checks = 0
-    for n in ctx.sizes(hi=3):
-        for s, p in _all_pairs(n):
-            es, ep = indit(s), indit(p)
-            assert eq_meet(ep, es) == indit(join(p, s))
-            assert eq_join(ep, es) == indit(meet(p, s))
-            assert eq_diff(ep, es) == indit(implies(s, p))
-            assert eq_nor(ep, es) == indit(nand(p, s))
-            checks += 4
-    return checks
+@_law("core/dual-algebra-dualities", 2, hi=3)
+def _dual_algebra(s, p):
+    es, ep = indit(s), indit(p)
+    assert eq_meet(ep, es) == indit(join(p, s))
+    assert eq_join(ep, es) == indit(meet(p, s))
+    assert eq_diff(ep, es) == indit(implies(s, p))
+    assert eq_nor(ep, es) == indit(nand(p, s))
+    return 4
 
 
 # ---------------------------------------------------------------------------
@@ -322,35 +287,24 @@ def _dualize_involution(ctx):
     return checks
 
 
-@_entry("formula/cnf-table-equivalence")
-def _cnf_equivalence(ctx):
-    checks = 0
-    for n in ctx.sizes(hi=4):
-        u = canonical_universe(n)
-        for op in OpCode:
-            if op is OpCode.ONE:
-                continue
-            cnf = cnf_of(op)
-            for s, t in _all_pairs(n):
-                a = Assignment(u, {"s": s, "t": t})
-                assert eval_formula(cnf, a) == graph_op(op.table, s, t), op
-                checks += 1
-    return checks
+_CNFS = [(op, cnf_of(op)) for op in OpCode if op is not OpCode.ONE]
+_DNFS = [(op, dnf_dual_of(op), dual_opcode(op).table) for op in OpCode]
 
 
-@_entry("formula/dnf-dual-table-equivalence")
-def _dnf_equivalence(ctx):
-    checks = 0
-    for n in ctx.sizes(hi=3):
-        u = canonical_universe(n)
-        for op in OpCode:
-            dnf = dnf_dual_of(op)
-            partner = dual_opcode(op)
-            for s, t in _all_pairs(n):
-                a = Assignment(u, {"s": s, "t": t})
-                assert eval_dual(dnf, a) == indit(graph_op(partner.table, s, t)), op
-                checks += 1
-    return checks
+@_law("formula/cnf-table-equivalence", 2)
+def _cnf_equivalence(s, t):
+    a = Assignment(s.universe, {"s": s, "t": t})
+    for op, cnf in _CNFS:
+        assert eval_formula(cnf, a) == graph_op(op.table, s, t), op
+    return len(_CNFS)
+
+
+@_law("formula/dnf-dual-table-equivalence", 2, hi=3)
+def _dnf_equivalence(s, t):
+    a = Assignment(s.universe, {"s": s, "t": t})
+    for op, dnf, partner in _DNFS:
+        assert eval_dual(dnf, a) == indit(graph_op(partner, s, t)), op
+    return len(_DNFS)
 
 
 # ---------------------------------------------------------------------------
@@ -457,150 +411,74 @@ def _dual_ore(ctx):
     return checks
 
 
-@_entry("semantics/lawvere-boundary-core")
-def _lawvere(ctx):
-    checks = 0
-    for n in ctx.sizes(hi=4):
-        for s, p in _all_pairs(n):
-            lhs = meet(_coboundary(s, p), pi_neg(pi_neg(s, p), p))
-            assert lhs == join(s, p)
-            checks += 1
-    return checks
+@_law("semantics/lawvere-boundary-core", 2)
+def _lawvere(s, p):
+    assert meet(_coboundary(s, p), pi_neg(pi_neg(s, p), p)) == join(s, p)
 
 
-@_entry("semantics/co-leibniz")
-def _co_leibniz(ctx):
-    checks = 0
-    n = min(4, ctx.max_n)
-    parts = partitions_on(n)
-    for s in parts:
-        for t in parts:
-            for p in parts:
-                lhs = _coboundary(join(s, t), p)
-                rhs = meet(join(_coboundary(s, p), t), join(s, _coboundary(t, p)))
-                assert lhs == rhs
-                checks += 1
-    if ctx.max_n >= 5:
-        rng = random.Random(ctx.seed + 9)
-        for _ in range(200):
-            s, t, p = (_sample_partition(rng, 5) for _ in range(3))
-            assert _coboundary(join(s, t), p) == \
-                meet(join(_coboundary(s, p), t), join(s, _coboundary(t, p)))
-            checks += 1
-    return checks
+@_law("semantics/co-leibniz", 3, one_size=True, sample=(9, 200, 3))
+def _co_leibniz(s, t, p):
+    assert _coboundary(join(s, t), p) == \
+        meet(join(_coboundary(s, p), t), join(s, _coboundary(t, p)))
 
 
-def _phi_choices(s, t, p):
-    u = p.universe
-    return (p, join(s, p), join(meet(s, t), p), top(u))
-
-
-@_entry("semantics/cnf-decomposition")
-def _cnf_decomposition(ctx):
-    checks = 0
-    n = min(4, ctx.max_n)
-    parts = partitions_on(n)
-    for s in parts:
-        for t in parts:
-            for p in parts:
-                ns, nns = pi_neg(s, p), pi_neg(pi_neg(s, p), p)
-                nt, nnt = pi_neg(t, p), pi_neg(pi_neg(t, p), p)
-                for f in _phi_choices(s, t, p):
-                    rhs = meet(meet(join(join(nns, nnt), f), join(join(nns, nt), f)),
-                               meet(join(join(ns, nnt), f), join(join(ns, nt), f)))
-                    assert rhs == f
-                    checks += 1
-    if ctx.max_n >= 5:
-        rng = random.Random(ctx.seed + 10)
-        for _ in range(125):
-            s, t, p, f0 = (_sample_partition(rng, 5) for _ in range(4))
-            f = join(f0, p)
-            ns, nns = pi_neg(s, p), pi_neg(pi_neg(s, p), p)
-            nt, nnt = pi_neg(t, p), pi_neg(pi_neg(t, p), p)
-            rhs = meet(meet(join(join(nns, nnt), f), join(join(nns, nt), f)),
-                       meet(join(join(ns, nnt), f), join(join(ns, nt), f)))
+def _decomposes(outer, inner):
+    """The law that phi is the outer-of-inner normal form, over the four
+    pi-literal pairs, of itself: the CNF (outer meet, inner join) or the DNF
+    (outer join, inner meet) of section 11.6.  Exhaustive tuples (s, t, p)
+    try four phi at or above p; a draw (s, t, p, f0) tries phi = f0 \\/ p."""
+    def law(s, t, p, f0=None):
+        ns, nns = pi_neg(s, p), pi_neg(pi_neg(s, p), p)
+        nt, nnt = pi_neg(t, p), pi_neg(pi_neg(t, p), p)
+        if f0 is None:
+            phis = (p, join(s, p), join(meet(s, t), p), top(p.universe))
+        else:
+            phis = (join(f0, p),)
+        for f in phis:
+            rhs = outer(outer(inner(inner(nns, nnt), f), inner(inner(nns, nt), f)),
+                        outer(inner(inner(ns, nnt), f), inner(inner(ns, nt), f)))
             assert rhs == f
-            checks += 1
-    return checks
+        return len(phis)
+    return law
 
 
-@_entry("semantics/dnf-decomposition")
-def _dnf_decomposition(ctx):
-    checks = 0
-    n = min(4, ctx.max_n)
-    parts = partitions_on(n)
-    for s in parts:
-        for t in parts:
-            for p in parts:
-                ns, nns = pi_neg(s, p), pi_neg(pi_neg(s, p), p)
-                nt, nnt = pi_neg(t, p), pi_neg(pi_neg(t, p), p)
-                for f in _phi_choices(s, t, p):
-                    rhs = join(join(meet(meet(nns, nnt), f), meet(meet(nns, nt), f)),
-                               join(meet(meet(ns, nnt), f), meet(meet(ns, nt), f)))
-                    assert rhs == f
-                    checks += 1
-    if ctx.max_n >= 5:
-        rng = random.Random(ctx.seed + 11)
-        for _ in range(125):
-            s, t, p, f0 = (_sample_partition(rng, 5) for _ in range(4))
-            f = join(f0, p)
-            ns, nns = pi_neg(s, p), pi_neg(pi_neg(s, p), p)
-            nt, nnt = pi_neg(t, p), pi_neg(pi_neg(t, p), p)
-            rhs = join(join(meet(meet(nns, nnt), f), meet(meet(nns, nt), f)),
-                       join(meet(meet(ns, nnt), f), meet(meet(ns, nt), f)))
-            assert rhs == f
-            checks += 1
-    return checks
+_law("semantics/cnf-decomposition", 3, one_size=True,
+     sample=(10, 125, 4))(_decomposes(meet, join))
+_law("semantics/dnf-decomposition", 3, one_size=True,
+     sample=(11, 125, 4))(_decomposes(join, meet))
 
 
-@_entry("semantics/boolean-core-homomorphisms")
-def _core_homomorphisms(ctx):
-    checks = 0
-    n = min(4, ctx.max_n)
-    for p in partitions_on(n):
-        els = boolean_core(p)
-        ns = non_singleton_blocks(p)
-        assert len(els) == 2 ** len(ns)
-        for x in els:
-            cx = chi(x, p)
-            assert chi(pi_neg(x, p), p) == {b: 1 - cx[b] for b in ns}
-            for y in els:
-                cy = chi(y, p)
-                assert chi(meet(x, y), p) == {b: cx[b] & cy[b] for b in ns}
-                assert chi(join(x, y), p) == {b: cx[b] | cy[b] for b in ns}
-                assert chi(implies(x, y), p) == \
-                    {b: int((not cx[b]) or cy[b]) for b in ns}
-                checks += 3
-    return checks
+@_law("semantics/boolean-core-homomorphisms", 1, one_size=True)
+def _core_homomorphisms(p):
+    els = boolean_core(p)
+    ns = non_singleton_blocks(p)
+    assert len(els) == 2 ** len(ns)
+    for x in els:
+        cx = chi(x, p)
+        assert chi(pi_neg(x, p), p) == {b: 1 - cx[b] for b in ns}
+        for y in els:
+            cy = chi(y, p)
+            assert chi(meet(x, y), p) == {b: cx[b] & cy[b] for b in ns}
+            assert chi(join(x, y), p) == {b: cx[b] | cy[b] for b in ns}
+            assert chi(implies(x, y), p) == \
+                {b: int((not cx[b]) or cy[b]) for b in ns}
+    return 3 * len(els) ** 2
 
 
-@_entry("semantics/block-algebra-cardinality")
-def _block_algebra(ctx):
-    from itertools import combinations
-    checks = 0
-    for n in ctx.sizes(hi=4):
-        u = canonical_universe(n)
-        for p in partitions_on(n):
-            members = 0
-            for r in range(n + 1):
-                for subset in combinations(u.elements, r):
-                    members += in_block_algebra(p, set(subset))
-            ns = len(non_singleton_blocks(p))
-            singletons = p.n_blocks - ns
-            assert members == block_algebra_size(p) == 2 ** ns * 2 ** singletons
-            checks += 1
-    return checks
+@_law("semantics/block-algebra-cardinality", 1)
+def _block_algebra(p):
+    elements = p.universe.elements
+    members = sum(in_block_algebra(p, set(subset))
+                  for r in range(len(elements) + 1)
+                  for subset in combinations(elements, r))
+    ns = len(non_singleton_blocks(p))
+    singletons = p.n_blocks - ns
+    assert members == block_algebra_size(p) == 2 ** ns * 2 ** singletons
 
 
-@_entry("semantics/pi-nand-reduces-to-nand")
-def _pi_nand_reduction(ctx):
-    checks = 0
-    for n in ctx.sizes(hi=4):
-        b = bottom(canonical_universe(n))
-        for s, t in _all_pairs(n):
-            assert pi_nand(s, t, b) == nand(s, t)
-            checks += 1
-    return checks
+@_law("semantics/pi-nand-reduces-to-nand", 2)
+def _pi_nand_reduction(s, t):
+    assert pi_nand(s, t, bottom(s.universe)) == nand(s, t)
 
 
 # ---------------------------------------------------------------------------

@@ -115,27 +115,12 @@ _BOOL_OPS = {Join: lambda x, y: x or y, Meet: lambda x, y: x and y,
 
 
 def is_truth_table_tautology(f: Formula) -> bool:
-    """True iff f evaluates to 1 under every 0/1 assignment.
-
-    Checked both by truth tables and, via the reduction principle
-    Pi(2) = P(1), by evaluating over the two partitions on a two-element
-    universe; the routes must agree.
-    """
+    """True iff f evaluates to 1 under every 0/1 assignment."""
     code = lower(f)
     names = sorted({x for op, x, _ in code if op is Atom})
-    u2 = canonical_universe(2)
-    zero_one = (bottom(u2), top(u2))
-    ops = _partition_ops()
-    by_tables = by_pi2 = True
-    for bits in product((False, True), repeat=len(names)):
-        env = dict(zip(names, bits))
-        by_tables &= bool(_run(code, env.__getitem__, False, True, _BOOL_OPS))
-        pi2 = {n: zero_one[b] for n, b in env.items()}
-        by_pi2 &= _run(code, pi2.__getitem__, *zero_one, ops) == zero_one[1]
-    if by_tables != by_pi2:
-        raise core.InternalInvariantError(
-            "truth-table and Pi(2) routes disagree on %r" % (f,))
-    return by_tables
+    return all(
+        _run(code, dict(zip(names, bits)).__getitem__, False, True, _BOOL_OPS)
+        for bits in product((False, True), repeat=len(names)))
 
 
 # ---------------------------------------------------------------------------
@@ -228,18 +213,23 @@ def check_weak(f: Formula, max_n: int, budget: int = 10_000_000) -> CheckResult:
 # Bell numbers and the omega_n family
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
+_bell_numbers = [1]   # bell(0), bell(1), ...: the first entries of the rows
+_bell_row = [1]       # the last row of the triangle built so far
+
+
 def bell(n: int) -> int:
-    """Bell numbers by the triangle recurrence."""
+    """Bell numbers by the triangle recurrence.  One triangle is grown a row
+    at a time as larger n are asked for, so a later bell(n) is a lookup."""
+    global _bell_row
     if n < 0:
         raise ValueError("n must be nonnegative")
-    row = [1]
-    for _ in range(n):
-        nxt = [row[-1]]
-        for v in row:
+    while len(_bell_numbers) <= n:
+        nxt = [_bell_row[-1]]
+        for v in _bell_row:
             nxt.append(nxt[-1] + v)
-        row = nxt
-    return row[0]
+        _bell_row = nxt
+        _bell_numbers.append(nxt[0])
+    return _bell_numbers[n]
 
 
 _OMEGA_MAX_N = 6   # Bell(6)=203 atoms, ~20k disjuncts; beyond that refuse
@@ -293,19 +283,8 @@ def non_singleton_blocks(p: Partition) -> tuple[tuple[str, ...], ...]:
 
 def is_pi_regular(r: Partition, p: Partition) -> bool:
     """True iff r is p with some subset of p's blocks discretized,
-    i.e. r = s => p for some s."""
-    core._check_same_universe(r, p)
-    for block in p.blocks:
-        whole = (len({r.block_of(el) for el in block}) == 1
-                 and sum(1 for el in p.universe.elements
-                         if r.block_of(el) == r.block_of(block[0])) == len(block))
-        discrete = all(
-            sum(1 for el in p.universe.elements
-                if r.block_of(el) == r.block_of(x)) == 1
-            for x in block)
-        if not (whole or discrete):
-            return False
-    return True
+    i.e. r = s => p for some s: the fixpoints of double pi-negation."""
+    return core.implies(core.implies(r, p), p) == r
 
 
 def chi(r: Partition, p: Partition) -> dict[tuple[str, ...], int]:

@@ -232,9 +232,6 @@ class Branch:
         F-statements connect."""
         return _components(self.n_elements, self.f_graphs.get(f, ()))
 
-    def element_names(self) -> tuple[str, ...]:
-        return tuple("u%d" % k for k in range(self.n_elements))
-
     def holds(self, i: int, j: int, sign: str, f: Formula) -> bool:
         """Truth of a signed condition, with the constants resolved natively."""
         if isinstance(f, One):

@@ -189,7 +189,3 @@ class TestEnumerationGeometry:
             for b in parts:
                 if refines(a, b) and refines(b, a):
                     assert a == b
-
-    def test_atoms_helper_lists_the_binary_partitions(self):
-        from partlog.core import atoms
-        assert set(atoms(U4)) == {p for p in PARTS4 if p.n_blocks == 2}

@@ -178,6 +178,18 @@ class TestCheck:
         assert (code, out) == (64, "")
         assert "more than its budget of 10000000" in err
 
+    def test_raised_budget_counts_the_grid_at_once(self, capture):
+        # bell(2..600) from one triangle; its countermodel is on two elements
+        start = time.perf_counter()
+        code, out, err = capture("check", "s", "--max-n", "600",
+                                 "--budget", str(10 ** 1200))
+        assert time.perf_counter() - start < 1.0
+        want = {"bindings": {"s": [["u0", "u1"]]}, "evaluated": [["u0", "u1"]],
+                "max_n": 600, "pair": ["u0", "u1"], "schema": "partlog/1",
+                "universe": ["u0", "u1"], "verdict": "countermodel"}
+        assert code == 1 and err == ""
+        assert out == json.dumps(want, indent=2, sort_keys=True) + "\n"
+
     @pytest.mark.parametrize("argv, code, want", [
         (["1"], 0, {"verdict": "tautology_up_to"}),
         (["1", "--weak"], 0, {"verdict": "weak_tautology_up_to"}),
@@ -341,7 +353,54 @@ class TestEntropy:
         assert (obj["numerator"], obj["denominator"]) == (12, 25)
 
 
+IDENTITIES_MAX_N_3_SEED_0 = """\
+PASS core/open-closed-fixpoints                                   28 checks
+PASS core/interior-lemma                                         300 checks
+PASS core/join-dits-are-union                                     29 checks
+PASS core/common-dits                                             17 checks
+PASS core/implication-two-routes                                  29 checks
+PASS core/implication-adjunction                                 133 checks
+PASS core/chain-length-bounds                                     58 checks
+PASS core/orthogonality                                           29 checks
+PASS core/refinement-sandwich                                     58 checks
+PASS core/weak-demorgan                                          133 checks
+PASS core/modular-atom-nand-coatom                                 6 checks
+PASS core/graph-op-two-routes                                    464 checks
+PASS core/dual-algebra-dualities                                 116 checks
+PASS formula/parse-print-round-trip                              500 checks
+PASS formula/desugar-idempotent                                  300 checks
+PASS formula/dualize-involution                                  300 checks
+PASS formula/cnf-table-equivalence                               435 checks
+PASS formula/dnf-dual-table-equivalence                          464 checks
+PASS semantics/duality-principle                                5000 checks
+PASS semantics/reduction-principle                                16 checks
+PASS semantics/weak-tautologies-are-subset-tautologies            60 checks
+PASS semantics/transform-propositions                            170 checks
+PASS semantics/ore-distributivity                                500 checks
+PASS semantics/dual-ore                                          500 checks
+PASS semantics/lawvere-boundary-core                              29 checks
+PASS semantics/co-leibniz                                        125 checks
+PASS semantics/cnf-decomposition                                 500 checks
+PASS semantics/dnf-decomposition                                 500 checks
+PASS semantics/boolean-core-homomorphisms                         51 checks
+PASS semantics/block-algebra-cardinality                           7 checks
+PASS semantics/pi-nand-reduces-to-nand                            29 checks
+PASS tableau/soundness-cross-check                                10 checks
+PASS tableau/branch-closing-lemma-neutral                         10 checks
+PASS tableau/chain-length-discipline                             266 checks
+PASS tableau/negation-as-derived-rules                            12 checks
+PASS tableau/stage-monotonicity                                    3 checks
+PASS tableau/rule-local-soundness                                127 checks
+passed 37 failed 0 (max_n=3 seed=0)
+"""
+
+
 class TestIdentities:
+    def test_golden_at_max_n_3(self, capture):
+        # every entry's name, order and check count
+        assert capture("identities", "--max-n", "3", "--seed", "0") == \
+            (0, IDENTITIES_MAX_N_3_SEED_0, "")
+
     def test_small_run_passes(self, capture):
         code, out, _ = capture("identities", "--max-n", "2", "--seed", "1")
         assert code == 0

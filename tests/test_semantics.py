@@ -7,10 +7,10 @@ from itertools import combinations, product
 import pytest
 
 from partlog.core import (
-    Universe, bottom, implies, indit, join as pjoin, make_partition, meet,
-    nand, PairRelation, top,
+    Universe, UniverseMismatch, bottom, implies, indit, join as pjoin,
+    make_partition, meet, nand, PairRelation, top,
 )
-from partlog.corpus import formula_corpus
+from partlog.corpus import formula_corpus, non_tautology_corpus, tautology_corpus
 from partlog.formula import (
     Atom, Diff, Equiv, Impl, Inequiv, Join, Meet, Nand, Nor, Not, One, Zero,
     ZERO, atoms_of, desugar, dualize, parse, subformulas,
@@ -96,6 +96,32 @@ def reference_eval(f, a):
             return top(a.universe)
     op = {Join: pjoin, Meet: meet, Impl: implies, Nand: nand}[type(f)]
     return op(reference_eval(f.left, a), reference_eval(f.right, a))
+
+
+def pi2_tautology(f):
+    """The reduction principle's route, Pi(2) = P(1): f evaluates to 1 on the
+    two-element universe under every binding of its atoms to 0 and 1."""
+    u = canonical_universe(2)
+    zero_one = (bottom(u), top(u))
+    names = sorted(atoms_of(f))
+    return all(
+        eval_formula(f, Assignment(u, {x: zero_one[b] for x, b in zip(names, bits)}))
+        == top(u) for bits in product((False, True), repeat=len(names)))
+
+
+def reference_is_pi_regular(r, p):
+    """Blockwise: every block of p is a whole block of r or r's singletons."""
+    for block in p.blocks:
+        whole = (len({r.block_of(el) for el in block}) == 1
+                 and sum(1 for el in p.universe.elements
+                         if r.block_of(el) == r.block_of(block[0])) == len(block))
+        discrete = all(
+            sum(1 for el in p.universe.elements
+                if r.block_of(el) == r.block_of(x)) == 1
+            for x in block)
+        if not (whole or discrete):
+            return False
+    return True
 
 
 def bell_oracle(n):
@@ -204,6 +230,12 @@ class TestTruthTables:
 
     def test_non_tautology(self):
         assert not is_truth_table_tautology(parse("s /\\ t"))
+
+    def test_the_pi2_route_agrees_on_the_corpora(self):
+        for f in formula_corpus(seed=41, count=300, max_depth=4):
+            assert is_truth_table_tautology(f) == pi2_tautology(f), f
+        assert all(map(pi2_tautology, tautology_corpus(seed=42, count=60)))
+        assert not any(map(pi2_tautology, non_tautology_corpus(seed=43, count=60)))
 
 
 class TestCheck:
@@ -314,6 +346,10 @@ class TestBell:
     def test_values_match_recurrence_oracle(self, n, value):
         assert bell(n) == value == bell_oracle(n)
 
+    def test_any_request_order_matches_the_oracle(self):
+        for n in (30, 7, 31, 0, 64, 63, 12):
+            assert bell(n) == bell_oracle(n)
+
     def test_matches_enumeration_length(self):
         for n in (2, 3, 4, 5):
             assert bell(n) == len(partitions_on(n))
@@ -334,6 +370,13 @@ class TestBooleanCore:
         with pytest.raises(NotPiRegular):
             chi(SIGMA, PI)
         assert not is_pi_regular(SIGMA, PI)
+
+    def test_pi_regular_is_the_blockwise_reference(self):
+        for n in (2, 3, 4):
+            for r, p in product(partitions_on(n), repeat=2):
+                assert is_pi_regular(r, p) == reference_is_pi_regular(r, p)
+        with pytest.raises(UniverseMismatch):
+            is_pi_regular(SIGMA, top(Universe.of("a", "b")))
 
     def test_core_sizes(self):
         assert len(boolean_core(PI)) == 4          # two non-singleton blocks

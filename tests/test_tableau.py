@@ -141,7 +141,6 @@ class TestBranchPredicates:
                            statements={stmt(0, 1, "T", s): 0})
         assert not branch_is_closed(open_done)
         assert branch_is_complete(open_done)
-        assert open_done.element_names() == ("u0", "u1")
         contradictory = Branch(root=s, n_elements=2,
                                statements={stmt(0, 1, "T", s): 0,
                                            stmt(0, 1, "F", s): 1})
